@@ -421,7 +421,7 @@ def main(argv=None):
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError, OSError) as e:
+    except (ValueError, ArithmeticError, RuntimeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -21,12 +21,13 @@ from .series import (
     NottSeries,
     TruncSeries,
     UnitSeries,
+    _inv_unit_coeffs,
     _mul_coeffs,
+    _powers,
     _require_match,
-    comp_inverse,
-    compose,
+    _reversion,
+    _subst,
     format_series,
-    inv_unit,
     parse_series,
 )
 
@@ -72,22 +73,24 @@ class RiordanElem:
 
 
 def rmul(a, b):
-    """The group product (a.h * b.h(a.g), b.g(a.g))."""
+    """The group product (a.h * b.h(a.g), b.g(a.g)), from one power table of a.g."""
     if not isinstance(a, RiordanElem) or not isinstance(b, RiordanElem):
         raise TypeError("rmul expects two Riordan elements")
     _require_match(a.h, b.h)
-    h = (a.h * compose(b.h, a.g)).as_unit()
-    g = compose(b.g, a.g).as_nott()
-    return RiordanElem(h, g)
+    ring, mod = a.ring, a.ring.p
+    pw = _powers(a.g.coeffs, mod)
+    h = _mul_coeffs(a.h.coeffs, _subst(b.h.coeffs, pw, mod), mod)
+    return RiordanElem(UnitSeries(ring, h), NottSeries(ring, _subst(b.g.coeffs, pw, mod)))
 
 
 def rinv(a):
     """The group inverse (h^(-1)(gbar), gbar) with gbar the compositional inverse."""
     if not isinstance(a, RiordanElem):
         raise TypeError("rinv expects a Riordan element")
-    gbar = comp_inverse(a.g)
-    h = compose(inv_unit(a.h), gbar).as_unit()
-    return RiordanElem(h, gbar)
+    ring, mod = a.ring, a.ring.p
+    pw = _reversion(a.g.coeffs, mod)
+    h = _subst(_inv_unit_coeffs(a.h.coeffs, mod), pw, mod)
+    return RiordanElem(UnitSeries(ring, h), NottSeries(ring, pw[1]))
 
 
 class RiordanMatrix:
@@ -163,7 +166,7 @@ class RiordanMatrix:
 def to_matrix(a, m):
     """The m x m matrix of (h, g): entry (i, j) is [x^i] h * g^j.
 
-    Columns reuse the previous column's series, h, h*g, h*g^2, ...
+    Column j is row j of the power table of g started at h.
     Requires m-1 <= trunc so every needed coefficient is stored.
     """
     if not isinstance(a, RiordanElem):
@@ -173,13 +176,7 @@ def to_matrix(a, m):
         raise ValueError("matrix size must be >= 1")
     if m - 1 > a.trunc:
         raise ValueError(f"size {m} needs truncation >= {m - 1}, have {a.trunc}")
-    mod = a.ring.p
-    gcs = a.g.coeffs[:m]
-    col = a.h.coeffs[:m]
-    cols = []
-    for _ in range(m):
-        cols.append(col)
-        col = _mul_coeffs(col, gcs, mod)
+    cols = _powers(a.g.coeffs[:m], a.ring.p, first=a.h.coeffs[:m])
     rows = [[cols[j][i] for j in range(m)] for i in range(m)]
     return RiordanMatrix(a.ring, rows)
 

@@ -116,42 +116,50 @@ def _inv_unit_coeffs(a, mod):
     return tuple(out)
 
 
-def _compose_coeffs(f, g, mod):
-    # Horner evaluation of f(g); requires g[0] == 0 so truncation commutes
-    # with substitution.
+def _powers(g, mod, first=None):
+    # The table first * g^j for j = 0..N, first defaulting to 1.  g[0] must be
+    # 0 so truncation commutes with substitution; row j then starts at x^j.
     if g[0]:
         raise ValueError("substituted series must have zero constant term")
-    n = len(f)
+    pw = [tuple(first) if first is not None else (1,) + (0,) * (len(g) - 1)]
+    for _ in range(len(g) - 1):
+        pw.append(_mul_coeffs(pw[-1], g, mod))
+    return tuple(pw)
+
+
+def _subst(f, pw, mod):
+    # f(g) = sum_j f_j * pw[j] for the power table pw of g.
+    n = len(pw[0])
     out = [0] * n
-    for k in range(n - 1, -1, -1):
-        new = [0] * n
-        for i in range(n):
-            ci = out[i]
-            if ci:
-                for j in range(1, n - i):
-                    gj = g[j]
-                    if gj:
-                        new[i + j] += ci * gj
-        new[0] += f[k]
-        if mod is None:
-            out = new
-        else:
-            out = [c % mod for c in new]
-    return tuple(out)
+    for j, c in enumerate(f):
+        if c:
+            row = pw[j]
+            for k in range(j, n):
+                out[k] += c * row[k]
+    return tuple(out) if mod is None else tuple(c % mod for c in out)
 
 
-def _comp_inverse_coeffs(g, mod):
-    # g = (0, 1, b2, ...).  Solve g(r) = x degree by degree: the degree-m
-    # coefficient of g(r) involves r_m only through the linear leading term,
-    # so r_m = -[x^m](sum_{j>=2} b_j r^j) with r_m temporarily 0.
+def _reversion(g, mod):
+    # The power table of r with g(r) = x, for g = (0, 1, b2, ...).  [x^m] r^j
+    # for j >= 2 needs only r_1..r_{m-1}: convolve column m of r^2..r^m first,
+    # then r_m = -sum_{j>=2} b_j [x^m] r^j.  No division, so exact over F_p and Z.
     n = len(g)
-    r = [0, 1]
+    pw = [[0] * n for _ in range(n)]
+    r = pw[1]
+    pw[0][0] = r[1] = 1
     for m in range(2, n):
-        r.append(0)
-        tail = (0, 0) + tuple(g[2 : m + 1])
-        s = _compose_coeffs(tail, tuple(r), mod)
-        r[m] = -s[m] % mod if mod is not None else -s[m]
-    return tuple(r)
+        s = 0
+        for j in range(2, m + 1):
+            prev = pw[j - 1]
+            c = 0
+            for i in range(j - 1, m):
+                if prev[i]:
+                    c += prev[i] * r[m - i]
+            pw[j][m] = c = c if mod is None else c % mod
+            if g[j]:
+                s += g[j] * c
+        r[m] = -s if mod is None else -s % mod
+    return tuple(tuple(row) for row in pw)
 
 
 class TruncSeries:
@@ -334,7 +342,7 @@ def inv_unit(h):
 
 
 def compose(f, g):
-    """Substitution f(g) for g with zero constant term.
+    """Substitution f(g) = sum_j f_j * g^j for g with zero constant term.
 
     Truncation commutes with substitution because [x^k] f(g) depends only on
     coefficients of f and g up to degree k.
@@ -342,14 +350,15 @@ def compose(f, g):
     if not isinstance(f, TruncSeries) or not isinstance(g, TruncSeries):
         raise TypeError("compose expects two series")
     _require_match(f, g)
-    return TruncSeries(f.ring, _compose_coeffs(f.coeffs, g.coeffs, f.ring.p))
+    mod = f.ring.p
+    return TruncSeries(f.ring, _subst(f.coeffs, _powers(g.coeffs, mod), mod))
 
 
 def comp_inverse(g):
-    """The compositional inverse of x + c2 x^2 + ... (two-sided)."""
+    """The compositional inverse of x + c2 x^2 + ... (two-sided), in O(N^3)."""
     if not isinstance(g, NottSeries):
         g = TruncSeries.as_nott(g)
-    return NottSeries(g.ring, _comp_inverse_coeffs(g.coeffs, g.ring.p))
+    return NottSeries(g.ring, _reversion(g.coeffs, g.ring.p)[1])
 
 
 def twist(h, g):

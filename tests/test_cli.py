@@ -201,6 +201,14 @@ def test_error_paths(capsys, tmp_path):
     assert run_cli(capsys, "frobnicate")[0] == 2
     assert run_cli(capsys, "hm-check", "--p", "3", "--level", "4")[0] == 2  # missing --m
     assert run_cli(capsys, "jxi", "--p", "3", "--xi", "1/6")[0] == 2
+    for argv in (
+        ("jxi", "--p", "3", "--xi", "2/0"),
+        ("spectrum", "--p", "5", "--family", "interval-point", "--xi", "3/0"),
+        ("tower-check", "--p", "3", "--level", "4", "--samples", "-4"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
 
 
 def test_output_is_deterministic(capsys, tmp_path):

@@ -72,6 +72,14 @@ def test_group_axioms_random():
             assert rinv(rinv(a)) == a
 
 
+def test_rinv_round_trip_at_high_truncation():
+    rng = random.Random(96)
+    a = rand_elem(rng, F5, 96)
+    e = RiordanElem.identity(F5, 96)
+    assert rmul(a, rinv(a)) == e
+    assert rmul(rinv(a), a) == e
+
+
 def test_rinv_components():
     rng = random.Random(13)
     h = rand_unit(rng, F3, 9)

@@ -281,6 +281,12 @@ def test_tower_consistency():
     assert rep.passed and rep.surjective
     assert rep.mode == "sampled"
     assert rep.pairs_checked == 500
+    # surjectivity is decided by the zero-padding section, not by the samples
+    rep = tower_consistency(QuotientGroup(3, 5), QuotientGroup(3, 4), samples=1, seed=2)
+    assert (rep.passed, rep.pairs_checked, rep.mode, rep.surjective) == (True, 1, "sampled", True)
+    for bad in (0, -4):
+        with pytest.raises(ValueError):
+            tower_consistency(QuotientGroup(3, 4), QuotientGroup(3, 3), samples=bad)
     with pytest.raises(ValueError):
         tower_consistency(QuotientGroup(3, 4), QuotientGroup(3, 2))
     with pytest.raises(ValueError):

@@ -20,7 +20,8 @@ from riordan import (
     poly_str,
     twist,
 )
-from util import rand_nott, rand_series, rand_unit
+from riordan.series import _powers, _reversion, _subst
+from util import horner_compose, rand_nott, rand_series, rand_unit, reversion_by_degree
 
 F2 = CoeffRing(2)
 F3 = CoeffRing(3)
@@ -214,6 +215,48 @@ def test_comp_inverse_defining_property():
         gid = NottSeries.identity(ZZ, 8)
         assert compose(g, comp_inverse(g)) == gid
         assert compose(comp_inverse(g), g) == gid
+
+
+def test_kernels_match_brute_force_references():
+    rng = random.Random(60)
+    for ring in (F3, F5, ZZ):
+        mod = ring.p
+        for trunc in (1, 2, 5, 12, 24, 48):
+            f = rand_series(rng, ring, trunc).coeffs
+            g = rand_nott(rng, ring, trunc).coeffs
+            # any g with zero constant term substitutes, not only x + ...
+            g0 = (0,) + rand_series(rng, ring, trunc).coeffs[1:]
+            for sub in (g, g0):
+                assert _subst(f, _powers(sub, mod), mod) == horner_compose(f, sub, mod)
+            table = _reversion(g, mod)
+            assert table[1] == reversion_by_degree(g, mod)
+            assert table == _powers(table[1], mod)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_kernels_match_sympy_ring_series(p):
+    ring_series = pytest.importorskip("sympy.polys.ring_series")
+    from sympy import GF
+    from sympy.polys.rings import ring as poly_ring
+
+    R, x = poly_ring("x", GF(p))
+    ring = CoeffRing(p)
+    rng = random.Random(70 + p)
+
+    def poly(s):
+        return sum((c * x**i for i, c in enumerate(s.coeffs)), R.zero)
+
+    def coeffs(q, trunc):
+        got = {m[0]: int(c) % p for m, c in q.items()}
+        return tuple(got.get(i, 0) for i in range(trunc + 1))
+
+    for trunc in (3, 12, 24):
+        f = rand_series(rng, ring, trunc)
+        g = rand_nott(rng, ring, trunc)
+        want = ring_series.rs_series_reversion(poly(g), x, trunc + 1, x)
+        assert comp_inverse(g).coeffs == coeffs(want, trunc)
+        want = ring_series.rs_subs(poly(f), {x: poly(g)}, x, trunc + 1)
+        assert compose(f, g).coeffs == coeffs(want, trunc)
 
 
 def test_truncation_coherence():

@@ -44,3 +44,35 @@ def rand_nott(rng, ring, trunc, n=1, exact=False):
 
 def rand_elem(rng, ring, trunc, m=1, n=1):
     return RiordanElem(rand_unit(rng, ring, trunc, m), rand_nott(rng, ring, trunc, n))
+
+
+# Brute-force substitution references: slower than the library's power-table
+# kernels and written independently of them.
+
+def horner_compose(f, g, mod):
+    """f(g) by Horner's rule, one full truncated product per coefficient of f."""
+    n = len(f)
+    out = [0] * n
+    for k in range(n - 1, -1, -1):
+        new = [0] * n
+        for i in range(n):
+            if out[i]:
+                for j in range(1, n - i):
+                    new[i + j] += out[i] * g[j]
+        new[0] += f[k]
+        out = new if mod is None else [c % mod for c in new]
+    return tuple(out)
+
+
+def reversion_by_degree(g, mod):
+    """The compositional inverse of g = (0, 1, b2, ...), one Horner pass per degree.
+
+    The degree-m coefficient of g(r) involves r_m only through the linear
+    term, so r_m = -[x^m](sum_{j>=2} b_j r^j) evaluated with r_m = 0.
+    """
+    r = [0, 1]
+    for m in range(2, len(g)):
+        r.append(0)
+        s = horner_compose((0, 0) + tuple(g[2 : m + 1]), tuple(r), mod)
+        r[m] = -s[m] if mod is None else -s[m] % mod
+    return tuple(r)
