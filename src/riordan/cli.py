@@ -90,6 +90,13 @@ def _emit_series(s, human):
     print(poly_str(s) if human else format_series(s))
 
 
+def _xi(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--xi must be a rational like 1/9, got {text!r}") from None
+
+
 def _parse_filtration(text):
     if text == "identity":
         return FiltrationSpec.identity()
@@ -260,7 +267,7 @@ def _cmd_density(args):
 
 
 def _cmd_jxi(args):
-    out = Jxi(Fraction(args.xi), args.p, emit_bound=args.emit_bound)
+    out = Jxi(_xi(args.xi), args.p, emit_bound=args.emit_bound)
     print(format_index_set(out))
     print(f"density={_frac(density(out).value)}")
     return 0
@@ -286,6 +293,8 @@ def _cmd_hdim(args):
 
 
 def _cmd_spectrum(args):
+    if args.xi is not None:
+        _xi(args.xi)  # the family re-reads the text; this only names the flag
     params = {}
     for key in ("xi", "r", "s", "u"):
         value = getattr(args, key)

@@ -19,7 +19,6 @@ from __future__ import annotations
 from .series import (
     CoeffRing,
     NottSeries,
-    TruncSeries,
     UnitSeries,
     _inv_unit_coeffs,
     _mul_coeffs,

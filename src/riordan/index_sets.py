@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .group import RiordanElem, rinv, rmul
-from .series import CoeffRing, NottSeries, UnitSeries
+from .series import CoeffRing, NottSeries, UnitSeries, _literal_fields
 
 
 @dataclass(frozen=True)
@@ -257,18 +257,7 @@ def format_index_set(s):
 
 
 def parse_index_set(line):
-    fields = {}
-    for part in line.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        key, sep, value = part.partition("=")
-        key = key.strip()
-        if not sep:
-            raise ValueError(f"malformed index-set field {part!r}")
-        if key in fields:
-            raise ValueError(f"duplicate index-set field {key!r}")
-        fields[key] = value.strip()
+    fields = _literal_fields(line, "index-set")
     expected = {"T", "except", "period", "residues"}
     if set(fields) != expected:
         raise ValueError("index-set literal needs exactly the fields T, except, period, residues")

@@ -31,6 +31,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .group import RiordanElem, rmul
+from .index_sets import FiltrationSpec
 from .series import (
     CoeffRing,
     NottSeries,
@@ -44,10 +45,6 @@ from .series import (
 )
 
 DEFAULT_MAX_ELEMENTS = 1 << 20
-
-# Beyond this many products, closure verification falls back to a
-# deterministic sample instead of every (element, generator) pair.
-_FULL_VERIFY_LIMIT = 1 << 21
 
 
 class CapExceededError(RuntimeError):
@@ -249,13 +246,19 @@ class QuotientGroup:
         return itertools.product(range(self.p), repeat=2 * self.na)
 
     def _extend(self, elems, kept, g):
-        # Grow the subgroup `elems` to <elems, g>.  The old subgroup's right
-        # cosets partition the result; BFS walks coset representatives by
-        # right multiplication with the kept generators.
+        # Grow the subgroup K = `elems` to S = <K, g> = union of the cosets K*r.
+        # BFS walks coset representatives r (the identity is the first) by
+        # right multiplication with the kept generators, and stops only when
+        # r*s lies in S for every r and kept s.  Since K*S = S, S is then
+        # closed under the generators, and a finite set holding the identity
+        # and closed under the generators is the subgroup they generate.
+        # Under a group law the cosets are disjoint, so |S| = |K| * reps; a
+        # short count exposes a law that is not a group law.
         kept.append(g)
         base = sorted(elems)
         cap = max_elements()
         mul = self.mul
+        reps = 1
         queue = deque([g])
         while queue:
             r = queue.popleft()
@@ -265,10 +268,16 @@ class QuotientGroup:
                 raise CapExceededError(
                     f"closure exceeded the element cap {cap} at p={self.p}, level={self.level}"
                 )
+            reps += 1
             for t in base:
                 elems.add(mul(t, r))
             for s in kept:
                 queue.append(mul(r, s))
+        if len(elems) != len(base) * reps:
+            raise RuntimeError(
+                f"coset count failed: {len(elems)} elements from {reps} cosets of "
+                f"{len(base)} at p={self.p}, level={self.level}"
+            )
 
     def _closure(self, gens):
         elems = {self.identity}
@@ -279,42 +288,24 @@ class QuotientGroup:
         return elems, kept
 
     def _verify_closed(self, elems, gens):
-        # Closure under right multiplication by every generator, plus the
-        # construction invariants (identity present, generators inside),
-        # proves the set is exactly the generated subgroup.  Past the
-        # product limit a deterministic sample is checked instead.
+        # _extend certifies closure by its coset count; these are the
+        # construction invariants, O(len(gens)) to check.
         if self.identity not in elems:
             raise RuntimeError("subgroup verification failed: identity missing")
-        if not gens:
-            return
-        ordered = sorted(elems)
-        total = len(ordered) * len(gens)
-        if total > _FULL_VERIFY_LIMIT:
-            step = -(-total // _FULL_VERIFY_LIMIT)
-            sample = ordered[::step]
-        else:
-            sample = ordered
-        mul = self.mul
         for g in gens:
             if g not in elems:
                 raise RuntimeError("subgroup verification failed: generator missing")
             if self.inv(g) not in elems:
                 raise RuntimeError("subgroup verification failed: not inverse-closed")
-            for s in sample:
-                if mul(s, g) not in elems:
-                    raise RuntimeError("subgroup verification failed: not closed under the law")
 
-    def subgroup(self, gens, check=True):
+    def subgroup(self, gens):
         """The subgroup generated by coordinate tuples, as an explicit handle."""
         gens = [self.validate_tuple(g) for g in gens]
         if not gens:
             raise ValueError("subgroup needs at least one generator")
         elems, kept = self._closure(gens)
-        if check:
-            self._verify_closed(elems, kept)
-        return SubgroupHandle(
-            self, kept, len(elems), elements=elems, name="closure"
-        )
+        self._verify_closed(elems, kept)
+        return SubgroupHandle(self, kept, len(elems), elements=elems, name="closure")
 
     # -- structural subgroups --------------------------------------------
 
@@ -636,20 +627,12 @@ def sigma_filtration_check(p, level, sigma, i, j):
         raise ValueError("filtration indices must be >= 1")
     if i + j >= level:
         raise ValueError("need i + j < level")
-    vals = {n: int(sigma(n)) for n in range(1, level + 1)}
-    if vals[1] != 1:
-        raise ValueError("sigma(1) must be 1")
-    for n in range(1, level):
-        if vals[n + 1] < vals[n]:
-            raise ValueError(f"sigma must be nondecreasing, fails at {n + 1}")
-    for a in range(1, level):
-        for b in range(1, level - a + 1):
-            if vals[a + b] > vals[a] + vals[b]:
-                raise ValueError(f"sigma must be subadditive, fails at {a}+{b}")
+    spec = FiltrationSpec("sigma", sigma, None)
+    spec.validate_range(level)
     G = QuotientGroup(p, level)
-    A = G.standard_subgroup(vals[i], i)
-    B = G.standard_subgroup(vals[j], j)
+    A = G.standard_subgroup(spec.value(i), i)
+    B = G.standard_subgroup(spec.value(j), j)
     K = commutator_subgroup(A, B)
-    target = G.standard_subgroup(vals[i + j], i + j)
+    target = G.standard_subgroup(spec.value(i + j), i + j)
     contained = all(x in target for x in K.element_set())
     return SigmaCheckReport(contained, i, j, K.order, target.name, target.order)

@@ -208,33 +208,6 @@ class TruncSeries:
     def as_nott(self):
         return NottSeries(self.ring, self.coeffs)
 
-    def __add__(self, other):
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        _require_match(self, other)
-        mod = self.ring.p
-        cs = [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        if mod is not None:
-            cs = [c % mod for c in cs]
-        return TruncSeries(self.ring, cs)
-
-    def __sub__(self, other):
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        _require_match(self, other)
-        mod = self.ring.p
-        cs = [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        if mod is not None:
-            cs = [c % mod for c in cs]
-        return TruncSeries(self.ring, cs)
-
-    def __neg__(self):
-        mod = self.ring.p
-        cs = [-c for c in self.coeffs]
-        if mod is not None:
-            cs = [c % mod for c in cs]
-        return TruncSeries(self.ring, cs)
-
     def __mul__(self, other):
         if not isinstance(other, TruncSeries):
             return NotImplemented
@@ -379,19 +352,25 @@ def twist(h, g):
 # Text form: `ring=(Fp:<p>|Z); trunc=<N>; coeffs=<c0>,...,<cN>`, one series
 # per line, decimal coefficients, negatives only over Z.
 
-def parse_series(line):
-    parts = [p.strip() for p in line.strip().split(";")]
+def _literal_fields(line, kind):
+    """The fields of a `key=value; ...` literal; kind names it in errors."""
     fields = {}
-    for part in parts:
+    for part in line.split(";"):
+        part = part.strip()
         if not part:
             continue
         key, eq, value = part.partition("=")
         if not eq:
-            raise ValueError(f"malformed series field {part!r}")
+            raise ValueError(f"malformed {kind} field {part!r}")
         key = key.strip()
         if key in fields:
-            raise ValueError(f"duplicate series field {key!r}")
+            raise ValueError(f"duplicate {kind} field {key!r}")
         fields[key] = value.strip()
+    return fields
+
+
+def parse_series(line):
+    fields = _literal_fields(line, "series")
     missing = {"ring", "trunc", "coeffs"} - set(fields)
     if missing:
         raise ValueError(f"series literal missing fields: {', '.join(sorted(missing))}")

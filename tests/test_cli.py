@@ -209,6 +209,8 @@ def test_error_paths(capsys, tmp_path):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error:")
+        if "--xi" in argv:
+            assert "--xi" in err and argv[-1] in err
 
 
 def test_output_is_deterministic(capsys, tmp_path):

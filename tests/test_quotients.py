@@ -25,7 +25,7 @@ from riordan import (
     verify_lcs_formula,
     width_report,
 )
-from util import rand_elem
+from util import closed_exhaustively, rand_elem
 
 F3 = CoeffRing(3)
 
@@ -129,6 +129,45 @@ def test_closure_pins():
 
     with pytest.raises(ValueError):
         G3.subgroup([])
+
+
+@pytest.mark.parametrize("p, level", [(3, 5), (3, 6), (5, 4), (2, 6), (7, 4)])
+def test_every_closure_passes_the_exhaustive_oracle(monkeypatch, p, level):
+    closures = []
+    subgroup = QuotientGroup.subgroup
+
+    def recording(self, gens):
+        handle = subgroup(self, gens)
+        closures.append(handle)
+        return handle
+
+    monkeypatch.setattr(QuotientGroup, "subgroup", recording)
+    G = QuotientGroup(p, level)
+    closures += lower_central_series(G, level)[1:]
+    rng = random.Random(31 * p + level)
+    for k in (1, 1, 2, 2):
+        G.subgroup([tuple(rng.randrange(p) for _ in range(2 * G.na)) for _ in range(k)])
+    for m in range(2, level):
+        hm_generation_check(p, level, m)
+    for m, n in ((1, 2), (2, 1), (2, 3)):
+        closures.append(commutator_subgroup(G.standard_subgroup(m, n), G.standard_subgroup(n, m)))
+    # LCS terms, random closures, one hm closure per m, band commutators
+    assert len(closures) == (level - 1) + 4 + (level - 2) + 3
+    for handle in closures:
+        assert closed_exhaustively(handle.group, handle.element_set(), handle.gens), handle
+
+
+def test_coset_count_catches_a_corrupted_law(monkeypatch):
+    G = QuotientGroup(3, 3)
+    a, b = (1, 0, 0, 0), (0, 0, 1, 0)
+    law = QuotientGroup.mul
+
+    def corrupted(self, x, y):
+        return self.identity if (x, y) == (a, b) else law(self, x, y)
+
+    monkeypatch.setattr(QuotientGroup, "mul", corrupted)
+    with pytest.raises(RuntimeError, match="coset count"):
+        G.subgroup([a, b])
 
 
 def test_closure_respects_element_cap(monkeypatch):

@@ -76,3 +76,14 @@ def reversion_by_degree(g, mod):
         s = horner_compose((0, 0) + tuple(g[2 : m + 1]), tuple(r), mod)
         r[m] = -s[m] if mod is None else -s[m] % mod
     return tuple(r)
+
+
+# Exhaustive closure reference, written independently of the coset walk:
+# every element times every generator, |S| * |gens| products.
+
+def closed_exhaustively(G, elems, gens):
+    """Whether elems holds the identity and the generators and is closed under them."""
+    elems = set(elems)
+    if G.identity not in elems or not elems.issuperset(gens):
+        return False
+    return all(G.mul(x, g) in elems for x in elems for g in gens)
