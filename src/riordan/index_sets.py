@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -55,6 +56,21 @@ class DensityValue:
         return self.upper
 
 
+def _prime_divisors(n):
+    """The distinct primes dividing n >= 1, by trial division."""
+    out = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 class IndexSet:
     """A subset of the positive integers in canonical threshold+period form.
 
@@ -79,29 +95,52 @@ class IndexSet:
         if any(e < 1 or e >= t for e in exc):
             raise ValueError("exceptional members must lie in [1, threshold)")
 
-        # minimal period: the smallest divisor whose classes give the same set
-        for d in range(1, m + 1):
-            if m % d:
-                continue
-            base = frozenset(r % d for r in res)
-            if all(((x % d) in base) == (x in res) for x in range(m)):
-                m, res = d, base
-                break
-        # minimal threshold: absorb the boundary point while it already
-        # follows the residue rule
-        while t > 0:
+        # minimal period: the shifts fixing res form a subgroup d0*Z/m, and
+        # each class mod d0 holds m/d0 residues, so m/d0 divides
+        # gcd(m, |res|).  Strip each prime q of that gcd while res is
+        # invariant under a shift by d/q; an empty or full res has period 1.
+        d = m
+        if not res or len(res) == m:
+            d = 1
+        else:
+            g = gcd(m, len(res))
+            for q in _prime_divisors(g):
+                while g % q == 0 and all((r + d // q) % m in res for r in res):
+                    g //= q
+                    d //= q
+        if d < m:
+            m, res = d, frozenset(r % d for r in res)
+        # minimal threshold: absorb the boundary point b while it already
+        # follows the residue rule.  A run of points that are neither
+        # exceptional nor in a class is absorbed at once, down to one above
+        # the nearest lower point that is (exc stays sorted, all below t).
+        exc = sorted(exc)
+        classes = None
+        while t > 1:
             b = t - 1
-            if b == 0:
-                t = 0
-                break
-            if (b in exc) == ((b % m) in res):
+            top = exc[-1] if exc else 0
+            if b == top:
+                if (b % m) not in res:
+                    break
+                exc.pop()
                 t = b
-                exc.discard(b)
-            else:
+            elif (b % m) in res:
                 break
+            else:
+                near = 0
+                if res:
+                    if classes is None:
+                        classes = sorted(res)
+                    x = (b - 1) % m
+                    k = bisect_right(classes, x)
+                    # the last class point <= b-1: in b-1's block, else the block below
+                    near = b - 1 - x + (classes[k - 1] if k else classes[-1] - m)
+                t = max(top, near, 0) + 1
+        if t == 1:
+            t = 0
 
         self.threshold = t
-        self.exceptional = tuple(sorted(exc))
+        self.exceptional = tuple(exc)
         self.period = m
         self.residues = res
 
@@ -294,6 +333,19 @@ def sumset_certification_bound(s):
     return 2 * (s.threshold + s.period)
 
 
+def _member_bits(s, top):
+    """The members of s in [1, top] as the set bits of one int."""
+    row = bytearray(b"0") * (max(int(top), 0) + 1)
+    lo = max(s.threshold, 1)
+    for r in s.residues:
+        first = s.first_in_class(r, lo)
+        row[first::s.period] = b"1" * len(range(first, len(row), s.period))
+    for e in s.exceptional:
+        if e < len(row):
+            row[e] = ord("1")
+    return int(row[::-1], 2)
+
+
 def sumset_closed(s, bound=None):
     """Is s closed under addition?  Scan pairs <= bound, witness first.
 
@@ -301,16 +353,25 @@ def sumset_closed(s, bound=None):
     members: any pair reduces, class by class, to a scanned pair with the
     same sum residue and comparable threshold side.  A smaller bound
     downgrades the verdict to up-to-bound.
+
+    Membership up to 2*bound is one int.  For each member i in ascending
+    order, rest holds the members j >= i, so the lowest set bit of
+    (rest << i) & ~inside is the least i+j outside s: the first witness of
+    the pair scan in (i, j) order.
     """
     cert = sumset_certification_bound(s)
     if bound is None:
         bound = cert
     bound = int(bound)
-    members = [n for n in range(1, bound + 1) if n in s]
-    for idx, i in enumerate(members):
-        for j in members[idx:]:
-            if (i + j) not in s:
-                return SumsetReport(False, True, bound, (i, j, i + j))
+    inside = _member_bits(s, 2 * bound)
+    rest = inside & ((2 << max(bound, 0)) - 1)
+    while rest:
+        i = (rest & -rest).bit_length() - 1
+        escape = (rest << i) & ~inside
+        if escape:
+            v = (escape & -escape).bit_length() - 1
+            return SumsetReport(False, True, bound, (i, v - i, v))
+        rest &= rest - 1
     return SumsetReport(True, bound >= cert, bound, None)
 
 
@@ -557,19 +618,23 @@ def group_closure_crosscheck(I, J, p, trunc=20, samples=200, seed=0):
     return CrosscheckReport(True, int(samples), trunc, None)
 
 
+def _reversal(m, p):
+    """(rev, p^L) for m >= 1 with L base-p digits read in reverse: W(m) = rev/p^L."""
+    rev, scale = 0, 1
+    while m:
+        m, d = divmod(m, p)
+        rev = rev * p + d
+        scale *= p
+    return rev, scale
+
+
 def W_value(m, p):
     """The digit-reflection value sum(m_n p^(-n-1)) of m in base p."""
     m = int(m)
     CoeffRing(p)
     if m < 1:
         raise ValueError("W is defined for m >= 1")
-    out = Fraction(0)
-    scale = Fraction(1, p)
-    while m:
-        m, d = divmod(m, p)
-        out += d * scale
-        scale /= p
-    return out
+    return Fraction(*_reversal(m, p))
 
 
 def w_value(j, p):
@@ -586,9 +651,13 @@ def Jxi(xi, p, emit_bound=10**4):
     xi must be a rational in [0, 1/p] with p-power denominator; the result
     is a union of residue classes mod p^(K+1) where K is the digit length
     of p*xi.  Membership is re-verified against the direct w(j) < xi scan
-    up to emit_bound before returning.
+    up to emit_bound >= 1 before returning, in integers:
+    w(j) = rev/p^L < num/den exactly when rev*den < num*p^L.
     """
     CoeffRing(p)
+    emit_bound = int(emit_bound)
+    if emit_bound < 1:
+        raise ValueError(f"emit_bound must be >= 1, got {emit_bound}")
     xi = Fraction(xi)
     if xi < 0 or xi > Fraction(1, p):
         raise ValueError("xi must lie in [0, 1/p]")
@@ -626,8 +695,12 @@ def Jxi(xi, p, emit_bound=10**4):
             prefix += c * p**n
         out = IndexSet(period=P, residues=residues)
 
-    for j in range(1, int(emit_bound) + 1):
-        direct = (j % p == p - 1) and w_value(j, p) < xi
+    num, den = xi.numerator, xi.denominator
+    for j in range(1, emit_bound + 1):
+        direct = False
+        if j % p == p - 1:
+            rev, scale = _reversal(j + 1, p)
+            direct = rev * den < num * scale
         if direct != (j in out):
             raise RuntimeError(f"progression decomposition disagrees with the w-scan at j={j}")
     return out
@@ -688,12 +761,15 @@ def density_convergence(p, s, xi, limit=10**5, source="indexset"):
     elif source == "scan":
         J = Jxi(xi, p)  # only for the period bound in the report
         period = lcm(J.period, s)
+        num, den = xi.numerator, xi.denominator
         count = 0
         it = iter(grid)
         nxt = next(it)
         for j in range(1, limit + 1):
-            if j % s == 0 and j % p == p - 1 and w_value(j, p) < xi:
-                count += 1
+            if j % s == 0 and j % p == p - 1:
+                rev, scale = _reversal(j + 1, p)
+                if rev * den < num * scale:
+                    count += 1
             if j == nxt:
                 rows.append(ConvergenceRow(j, count, Fraction(count, j)))
                 nxt = next(it, None)

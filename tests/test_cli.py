@@ -201,6 +201,10 @@ def test_error_paths(capsys, tmp_path):
     assert run_cli(capsys, "frobnicate")[0] == 2
     assert run_cli(capsys, "hm-check", "--p", "3", "--level", "4")[0] == 2  # missing --m
     assert run_cli(capsys, "jxi", "--p", "3", "--xi", "1/6")[0] == 2
+    for bound in ("0", "-5"):
+        code, out, err = run_cli(capsys, "jxi", "--p", "3", "--xi", "1/9", "--emit-bound", bound)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "emit_bound" in err
     for argv in (
         ("jxi", "--p", "3", "--xi", "2/0"),
         ("spectrum", "--p", "5", "--family", "interval-point", "--xi", "3/0"),
@@ -233,3 +237,23 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == "density=1/3 ldense=1/3 udense=1/3\n"
+
+
+def test_one_line_density_payloads_are_cheap():
+    # a huge period, or a long run of non-members below the threshold, must
+    # cost O(|residues|), not O(period) or O(threshold)
+    pins = {
+        "T=0; except=; period=1000000000000000003; residues=5": "1/1000000000000000003",
+        "T=1000000000000; except=; period=1; residues=": "0/1",
+        "T=1000000000000000000; except=3; period=1000000000000000000; residues=5": "1/1000000000000000000",
+    }
+    for line, d in pins.items():
+        proc = subprocess.run(
+            [sys.executable, "-m", "riordan.cli", "density"],
+            input=line + "\n",
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == f"density={d} ldense={d} udense={d}\n"

@@ -2,6 +2,7 @@
 
 import math
 import random
+from bisect import bisect_left
 from fractions import Fraction as Fr
 
 import pytest
@@ -26,6 +27,8 @@ from riordan import (
     verify_violation,
     w_value,
 )
+from riordan.index_sets import sumset_certification_bound
+from util import W_by_fractions, canonical_form_by_scan, sumset_by_pairs
 
 N3 = IndexSet.multiples(3)
 NAT = IndexSet.naturals()
@@ -61,6 +64,44 @@ def test_canonical_forms():
         IndexSet(period=0)
     with pytest.raises(ValueError):
         IndexSet(threshold=-1)
+
+
+def rand_raw_fields(rng):
+    """Raw constructor fields whose minimal period is often a proper divisor."""
+    period = rng.choice((1, 2, 6, 12, 30, 36, 60, 72, 96, 120, 144, rng.randrange(1, 145)))
+    d = rng.choice([k for k in range(1, period + 1) if period % k == 0])
+    base = [r for r in range(d) if rng.random() < 0.4]
+    residues = {r + k * d for r in base for k in range(period // d)}
+    if rng.random() < 0.3:
+        residues ^= {rng.randrange(period)}
+    threshold = rng.randrange(0, 41)
+    exceptional = [e for e in range(1, threshold) if rng.random() < 0.3]
+    if rng.random() < 0.5:
+        # members that follow the residue rule, so the threshold can fold
+        exceptional = [e for e in range(1, threshold) if e % period in residues] + exceptional[:2]
+    return threshold, exceptional, period, residues
+
+
+def test_canonical_forms_match_the_divisor_scan():
+    rng = random.Random(36)
+    for _ in range(1500):
+        fields = rand_raw_fields(rng)
+        s = IndexSet(*fields)
+        assert (s.threshold, s.exceptional, s.period, s.residues) == canonical_form_by_scan(*fields)
+
+
+def test_one_line_payload_forms_are_exact():
+    big = IndexSet(0, (), 10**18 + 3, (5,))
+    assert (big.threshold, big.period, big.residues) == (0, 10**18 + 3, frozenset({5}))
+    assert IndexSet(10**12, (), 1, ()) == IndexSet.empty()
+    s = IndexSet(10**18, (3,), 10**18, (5,))
+    assert (s.threshold, s.exceptional, s.period, s.residues) == (6, (3,), 10**18, frozenset({5}))
+    # a run of non-members folds down to the nearest lower member at once
+    s = IndexSet(10**15, (7, 9), 10**6, ())
+    assert (s.threshold, s.exceptional, s.period) == (10, (7, 9), 1)
+    s = IndexSet(10**15, (), 2 * 3**20, (0, 3**20))
+    last = (10**15 - 1) // 3**20 * 3**20
+    assert (s.threshold, s.period, s.residues) == (last + 1, 3**20, frozenset({0}))
 
 
 def test_membership_and_counting_against_scan():
@@ -137,6 +178,18 @@ def test_sumset_closure():
         if rep.witness is not None:
             i1, i2, total = rep.witness
             assert i1 in s and i2 in s and total == i1 + i2 and total not in s
+
+
+def test_sumset_matches_the_pair_scan():
+    rng = random.Random(37)
+    for _ in range(300):
+        s = IndexSet(*rand_raw_fields(rng))
+        for bound in (None, 4, 7, 30, 200):
+            rep = sumset_closed(s, bound)
+            want = sumset_certification_bound(s) if bound is None else bound
+            closed, witness = sumset_by_pairs(s, want)
+            assert (rep.closed, rep.witness, rep.bound) == (closed, witness, want)
+            assert rep.certified == (not closed or want >= sumset_certification_bound(s))
 
 
 def test_binom_mod_p():
@@ -243,6 +296,26 @@ def test_digit_weight_pins():
     assert w_value(8, 3) == Fr(1, 27)
 
 
+def test_W_value_matches_the_fraction_sum():
+    for p in (2, 3, 5, 7):
+        for m in range(1, 3000):
+            assert W_value(m, p) == W_by_fractions(m, p)
+
+
+def test_jxi_matches_the_fraction_scan_for_every_xi():
+    # every xi = k/p^K with K <= 4 is some k/p^4; J(xi) has period dividing
+    # p^5, so one period of the Fraction scan decides the whole set
+    for p in (2, 3, 5, 7):
+        top = p**5
+        ws = sorted((W_by_fractions(j + 1, p), j) for j in range(p - 1, top + 1, p))
+        for k in range(p**3 + 1):
+            xi = Fr(k, p**4)
+            J = Jxi(xi, p, emit_bound=1)
+            below = [j for _, j in ws[: bisect_left(ws, (xi, -1))]]
+            assert J.count_upto(top) == len(below)
+            assert all(j in J for j in below)
+
+
 def test_jxi_pins():
     assert Jxi(Fr(1, 9), 3) == IndexSet(period=9, residues=(8,))
     assert Jxi(Fr(1, 3), 3) == IndexSet(period=3, residues=(2,))
@@ -252,6 +325,11 @@ def test_jxi_pins():
     for bad in (Fr(1, 2), Fr(-1, 9), Fr(1, 6)):
         with pytest.raises(ValueError):
             Jxi(bad, 3)
+    # a re-verification over no index would check nothing
+    for emit_bound in (0, -5):
+        with pytest.raises(ValueError, match="emit_bound"):
+            Jxi(Fr(1, 9), 3, emit_bound=emit_bound)
+    assert Jxi(Fr(1, 9), 3, emit_bound=1) == IndexSet(period=9, residues=(8,))
 
 
 def test_jxi_agrees_with_digit_weight():

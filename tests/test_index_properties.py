@@ -1,0 +1,31 @@
+"""Property tests for index-set canonical forms (needs hypothesis, test-only)."""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+from riordan import IndexSet, format_index_set, parse_index_set  # noqa: E402
+from util import canonical_form_by_scan  # noqa: E402
+
+
+@st.composite
+def raw_fields(draw):
+    # classes mod d lifted to period d*k, so the minimal period is often d,
+    # with a few residues toggled to break the pattern
+    d, k = draw(st.integers(1, 20)), draw(st.integers(1, 6))
+    period = d * k
+    base = draw(st.sets(st.integers(0, d - 1)))
+    residues = {r + i * d for r in base for i in range(k)}
+    residues ^= draw(st.sets(st.integers(0, period - 1), max_size=2))
+    threshold = draw(st.integers(0, 40))
+    exceptional = draw(st.sets(st.integers(1, threshold - 1))) if threshold > 1 else set()
+    return threshold, exceptional, period, residues
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(raw_fields())
+def test_construction_matches_the_reference_canonical_form(fields):
+    s = IndexSet(*fields)
+    assert (s.threshold, s.exceptional, s.period, s.residues) == canonical_form_by_scan(*fields)
+    assert parse_index_set(format_index_set(s)) == s

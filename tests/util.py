@@ -1,4 +1,6 @@
-"""Seeded builders for random series and group elements shared by the suite."""
+"""Seeded builders and brute-force reference engines shared by the suite."""
+
+from fractions import Fraction
 
 from riordan import NottSeries, RiordanElem, TruncSeries, UnitSeries
 
@@ -87,3 +89,57 @@ def closed_exhaustively(G, elems, gens):
     if G.identity not in elems or not elems.issuperset(gens):
         return False
     return all(G.mul(x, g) in elems for x in elems for g in gens)
+
+
+# Index-set references: direct scans, written independently of the integer
+# kernels in index_sets.py (prime-divisor period, bitset sumset, digit reversal).
+
+def canonical_form_by_scan(threshold, exceptional, period, residues):
+    """(T, except, period, residues) by the divisor scan and one-point threshold steps.
+
+    The minimal period is the smallest divisor d of the period whose
+    classes reproduce every residue; the threshold then drops one point at
+    a time while the boundary point already follows the residue rule.
+    """
+    t, m = int(threshold), int(period)
+    res = frozenset(int(r) for r in residues)
+    exc = set(int(e) for e in exceptional)
+    for d in range(1, m + 1):
+        if m % d:
+            continue
+        base = frozenset(r % d for r in res)
+        if all(((x % d) in base) == (x in res) for x in range(m)):
+            m, res = d, base
+            break
+    while t > 0:
+        b = t - 1
+        if b == 0:
+            t = 0
+            break
+        if (b in exc) == ((b % m) in res):
+            t = b
+            exc.discard(b)
+        else:
+            break
+    return t, tuple(sorted(exc)), m, res
+
+
+def sumset_by_pairs(s, bound):
+    """(closed, witness): every member pair i <= j up to bound, in (i, j) order."""
+    members = [n for n in range(1, bound + 1) if n in s]
+    for idx, i in enumerate(members):
+        for j in members[idx:]:
+            if (i + j) not in s:
+                return False, (i, j, i + j)
+    return True, None
+
+
+def W_by_fractions(m, p):
+    """sum(m_n p^(-n-1)) over the base-p digits m_n of m, in Fractions."""
+    out = Fraction(0)
+    scale = Fraction(1, p)
+    while m:
+        m, d = divmod(m, p)
+        out += d * scale
+        scale /= p
+    return out
