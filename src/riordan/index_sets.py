@@ -26,7 +26,14 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .group import RiordanElem, rinv, rmul
-from .series import CoeffRing, NottSeries, UnitSeries, _literal_fields
+from .series import (
+    CapExceededError,
+    CoeffRing,
+    NottSeries,
+    UnitSeries,
+    _literal_fields,
+    max_elements,
+)
 
 
 @dataclass(frozen=True)
@@ -247,6 +254,11 @@ class IndexSet:
             raise TypeError("expected an IndexSet")
         m = lcm(self.period, other.period)
         t = max(self.threshold, other.threshold)
+        if max(m, t) > max_elements():
+            raise CapExceededError(
+                f"combining index sets needs lcm(periods)={m} residues and a threshold of "
+                f"{t}; the cap is {max_elements()}"
+            )
         res = {
             x
             for x in range(m)
@@ -652,7 +664,8 @@ def Jxi(xi, p, emit_bound=10**4):
     is a union of residue classes mod p^(K+1) where K is the digit length
     of p*xi.  Membership is re-verified against the direct w(j) < xi scan
     up to emit_bound >= 1 before returning, in integers:
-    w(j) = rev/p^L < num/den exactly when rev*den < num*p^L.
+    w(j) = rev/p^L < num/den exactly when rev*den < num*p^L.  A period
+    p^(K+1) above the enumeration cap raises CapExceededError.
     """
     CoeffRing(p)
     emit_bound = int(emit_bound)
@@ -683,6 +696,8 @@ def Jxi(xi, p, emit_bound=10**4):
             x -= d
         K = len(digits)
         P = p ** (K + 1)
+        if P > max_elements():
+            raise CapExceededError(f"J(xi) has period {p}^{K + 1}; the cap is {max_elements()}")
         residues = set()
         prefix = 0
         for n in range(1, K + 1):

@@ -7,12 +7,31 @@ Operations never mix rings or truncations; move down explicitly with
 ``project``.
 
 Values are immutable after construction and every operation is a pure
-function, so everything here is safe to share across threads.
+function, so everything here is safe to share across threads.  The module
+also holds the enumeration cap that the quotient and index-set layers share.
 """
 
 from __future__ import annotations
 
+import os
 from operator import index as _as_int
+
+DEFAULT_MAX_ELEMENTS = 1 << 20
+
+
+class CapExceededError(RuntimeError):
+    """Raised when an operation would enumerate more elements than allowed."""
+
+
+def max_elements():
+    """The enumeration cap; override with the RIORDAN_MAX_ELEMS env var."""
+    raw = os.environ.get("RIORDAN_MAX_ELEMS")
+    if raw is None:
+        return DEFAULT_MAX_ELEMENTS
+    value = int(raw)
+    if value < 1:
+        raise ValueError("RIORDAN_MAX_ELEMS must be a positive integer")
+    return value
 
 
 def _is_prime(n):

@@ -3,6 +3,7 @@
 import io
 import subprocess
 import sys
+import time
 
 from riordan.cli import main
 
@@ -81,6 +82,20 @@ def test_lcs_verify_lines(capsys):
     assert out.splitlines() == [
         "gamma_2 at p=3, level=4: brute order 27, formula order 27 -> PASS",
         "gamma_3 at p=3, level=4: brute order 3, formula order 3 -> PASS",
+    ]
+
+
+def test_lcs_verify_reach_past_the_element_cap(capsys):
+    # gamma_2 has 3^19 elements, far past the 2^20 enumeration cap; orders
+    # come from the pc basis, equality from order plus containment
+    code, out, _ = run_cli(capsys, "lcs-verify", "--p", "3", "--level", "12", "--depth", "6")
+    assert code == 0
+    assert out.splitlines() == [
+        "i=2 tau=2 brute_order=1162261467 formula_order=1162261467 PASS",
+        "i=3 tau=3 brute_order=129140163 formula_order=129140163 PASS",
+        "i=4 tau=5 brute_order=1594323 formula_order=1594323 PASS",
+        "i=5 tau=6 brute_order=177147 formula_order=177147 PASS",
+        "i=6 tau=8 brute_order=2187 formula_order=2187 PASS",
     ]
 
 
@@ -215,6 +230,21 @@ def test_error_paths(capsys, tmp_path):
         assert err.startswith("error:")
         if "--xi" in argv:
             assert "--xi" in err and argv[-1] in err
+
+
+def test_index_enumerations_past_the_cap_are_refused(capsys, tmp_path):
+    # J(xi) with period 3^20, and a pair whose set operations run over the
+    # lcm of the periods (3000009 for the first one classify tries)
+    far = payload(tmp_path, "T=0; except=; period=1000003; residues=0\nT=0; except=; period=1000033; residues=2\n")
+    for argv in (
+        ("jxi", "--p", "3", "--xi", "1162261466/3486784401"),
+        ("classify", "--p", "3", "--in", far),
+    ):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "cap" in err
 
 
 def test_output_is_deterministic(capsys, tmp_path):

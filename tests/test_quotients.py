@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from riordan import quotients
 from riordan import (
     CapExceededError,
     CoeffRing,
@@ -25,7 +26,7 @@ from riordan import (
     verify_lcs_formula,
     width_report,
 )
-from util import closed_exhaustively, rand_elem
+from util import closed_exhaustively, closure_by_bfs, rand_elem
 
 F3 = CoeffRing(3)
 
@@ -155,9 +156,11 @@ def test_every_closure_passes_the_exhaustive_oracle(monkeypatch, p, level):
     assert len(closures) == (level - 1) + 4 + (level - 2) + 3
     for handle in closures:
         assert closed_exhaustively(handle.group, handle.element_set(), handle.gens), handle
+        assert handle.element_set() == closure_by_bfs(handle.group, handle.gens), handle
 
 
 def test_coset_count_catches_a_corrupted_law(monkeypatch):
+    # one corrupted product makes the commutator [a, b] fail the pc certificate
     G = QuotientGroup(3, 3)
     a, b = (1, 0, 0, 0), (0, 0, 1, 0)
     law = QuotientGroup.mul
@@ -166,7 +169,7 @@ def test_coset_count_catches_a_corrupted_law(monkeypatch):
         return self.identity if (x, y) == (a, b) else law(self, x, y)
 
     monkeypatch.setattr(QuotientGroup, "mul", corrupted)
-    with pytest.raises(RuntimeError, match="coset count"):
+    with pytest.raises(RuntimeError, match="pc certificate failed: the commutator"):
         G.subgroup([a, b])
 
 
@@ -175,8 +178,11 @@ def test_closure_respects_element_cap(monkeypatch):
     assert max_elements() == 10
     G = QuotientGroup(3, 3)
     units = [t for t in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))]
+    # closure does not enumerate; only element_set() is capped
+    handle = G.subgroup(units)
+    assert handle.order == 81
     with pytest.raises(CapExceededError):
-        G.subgroup(units)
+        handle.element_set()
     with pytest.raises(CapExceededError):
         list(G.iter_elements())
     with pytest.raises(CapExceededError):
@@ -202,12 +208,15 @@ def test_standard_subgroup_orders_and_elements():
 
 
 def test_commutator_subgroup_matches_all_pairs_oracle():
-    for p, level in ((2, 3), (3, 3)):
-        G = QuotientGroup(p, level)
-        full = G.full_group()
-        derived = commutator_subgroup(full, full)
-        elems = sorted(G.iter_elements())
-        seeds = {G.comm(a, b) for a in elems for b in elems}
+    G4 = QuotientGroup(3, 4)
+    # at (3,4) the commutators of these generator pairs generate only 9
+    # elements; with their conjugates, [A, B] has 27
+    cases = [(QuotientGroup(p, level).full_group(),) * 2 for p, level in ((2, 3), (3, 3))]
+    cases.append((G4.subgroup([(2, 0, 2, 0, 1, 0), (0, 0, 2, 2, 0, 1)]), G4.subgroup([(1, 2, 0, 2, 0, 1)])))
+    for A, B in cases:
+        G = A.group
+        derived = commutator_subgroup(A, B)
+        seeds = {G.comm(a, b) for a in A.sorted_elements() for b in B.sorted_elements()}
         # oracle: BFS over plain set products, no generator shortcuts
         closure = set(seeds) | {G.identity}
         frontier = list(closure)
@@ -258,6 +267,15 @@ def test_lcs_pins_and_formula():
     assert [r.tau for r in rows] == [2, 3, 5]
     assert all(r.passed and r.brute_order == r.formula_order for r in rows)
     assert [r.brute_order for r in rows] == [27, 3, 1]
+
+
+def test_lcs_formula_fails_a_wrong_subgroup_of_the_right_order(monkeypatch):
+    # H^3xN^2 has the order of gamma_2 = H^2xN^3 at (3,4) but is another subgroup
+    G = QuotientGroup(3, 4)
+    wrong = [G.full_group(), G.standard_subgroup(3, 2)]
+    monkeypatch.setattr(quotients, "lower_central_series", lambda G, depth: wrong)
+    (row,) = verify_lcs_formula(G, 2)
+    assert (row.brute_order, row.formula_order, row.passed) == (27, 27, False)
 
 
 def test_lcs_formula_refuses_p2():

@@ -1,8 +1,9 @@
 """Seeded builders and brute-force reference engines shared by the suite."""
 
+from collections import deque
 from fractions import Fraction
 
-from riordan import NottSeries, RiordanElem, TruncSeries, UnitSeries
+from riordan import CapExceededError, NottSeries, RiordanElem, TruncSeries, UnitSeries, max_elements
 
 
 def rand_coeff(rng, ring):
@@ -89,6 +90,54 @@ def closed_exhaustively(G, elems, gens):
     if G.identity not in elems or not elems.issuperset(gens):
         return False
     return all(G.mul(x, g) in elems for x in elems for g in gens)
+
+
+# Coset-walk closure reference, written independently of the pc engine: the
+# breadth-first closure the library used before sifting, with its coset count.
+
+def _extend_by_cosets(G, elems, kept, g):
+    # Grow the subgroup K = `elems` to S = <K, g> = union of the cosets K*r.
+    # BFS walks coset representatives r (the identity is the first) by
+    # right multiplication with the kept generators, and stops only when
+    # r*s lies in S for every r and kept s.  Since K*S = S, S is then
+    # closed under the generators, and a finite set holding the identity
+    # and closed under the generators is the subgroup they generate.
+    # Under a group law the cosets are disjoint, so |S| = |K| * reps; a
+    # short count exposes a law that is not a group law.
+    kept.append(g)
+    base = sorted(elems)
+    cap = max_elements()
+    mul = G.mul
+    reps = 1
+    queue = deque([g])
+    while queue:
+        r = queue.popleft()
+        if r in elems:
+            continue
+        if len(elems) + len(base) > cap:
+            raise CapExceededError(
+                f"closure exceeded the element cap {cap} at p={G.p}, level={G.level}"
+            )
+        reps += 1
+        for t in base:
+            elems.add(mul(t, r))
+        for s in kept:
+            queue.append(mul(r, s))
+    if len(elems) != len(base) * reps:
+        raise RuntimeError(
+            f"coset count failed: {len(elems)} elements from {reps} cosets of "
+            f"{len(base)} at p={G.p}, level={G.level}"
+        )
+
+
+def closure_by_bfs(G, gens):
+    """The element set of the subgroup of G generated by gens, by coset BFS."""
+    elems = {G.identity}
+    kept = []
+    for g in gens:
+        if g not in elems:
+            _extend_by_cosets(G, elems, kept, g)
+    return elems
 
 
 # Index-set references: direct scans, written independently of the integer
