@@ -7,9 +7,11 @@ Its elements are coded as coordinate tuples
     (a_1, ..., a_{n-1}, b_2, ..., b_n)
 
 listing the h coefficients below degree n and the g coefficients up to
-degree n, each reduced mod p.  The group law is evaluated directly on
-tuples (powers of the left factor's substitution series are cached per
-b-part), and is spot-checked against the series product at construction.
+degree n, each reduced mod p.  The group law is evaluated on packed
+integers (Kronecker substitution: one coefficient every w bits), with the
+packed powers of the left factor's substitution series cached per b-part
+in a bounded cache, and is spot-checked against the series product at
+construction.
 
 On top of the law sit the structural statements: subgroup closure by
 sifting into an induced polycyclic sequence along the band filtration,
@@ -17,11 +19,17 @@ commutator subgroups via normal closure of generator commutators, the lower
 central series and its closed form, width, generation checks, twist
 generation of H^m, the projection tower, and sigma-filtration containments.
 Subgroup orders, memberships and equalities cost polynomial work in the
-level; only an explicit element_set() enumerates.
+level; only an explicit element_set() enumerates.  The whole quotient is
+the closure of its coordinate generators, which keeps three of them (four
+at p = 2 from level 7 on), and every product in the engine takes its left
+factor from the basis, its inverse powers and the conjugators, so the
+power cache hits.
 
 Everything returned is immutable; closure work touches no shared mutable
-state beyond a per-group cache of substitution powers, so concurrent use on
-distinct handles is safe.
+state beyond a per-group cache of packed substitution powers, bounded by
+_POW_CACHE_LIMIT tables (concurrent inserts can pass it by one table per
+thread), whose entries are never modified, so concurrent use on distinct
+handles is safe.
 """
 
 from __future__ import annotations
@@ -40,7 +48,6 @@ from .series import (
     NottSeries,
     UnitSeries,
     _inv_unit_coeffs,
-    _mul_coeffs,
     _powers,
     _reversion,
     _subst,
@@ -50,6 +57,11 @@ from .series import (
 
 # DEFAULT_MAX_ELEMENTS, CapExceededError and max_elements are re-exported:
 # the enumeration cap lives in series.py, shared with the index-set layer.
+
+# Packed power tables kept per quotient group; the cache is cleared when it
+# is full.  The pc engine's left factors fill about 500 in verify_lcs_formula
+# at (3,45), depth 6; random left factors fill it and clear it.
+_POW_CACHE_LIMIT = 1024
 
 
 class SubgroupHandle:
@@ -112,13 +124,17 @@ class _PcSequence:
     pivot b_{k+1}; an element leads at its first nonzero slot, and the
     identity leads past the last one.  The sequence keeps at most one basis
     element per slot, led by that slot with coefficient 1, and its inverse
-    powers.  Sifting right-multiplies by those powers to clear the leading
-    coordinate until the element is the identity or leads at an empty slot.
-    Closure puts each new basis element's p-th power and its commutators
-    with the earlier basis elements (and its conjugates by `conjugators`)
-    on the queue.  The normal-form words in the basis are then the
-    subgroup, of order p^(number of basis elements); see Holt, Eick and
-    O'Brien, Handbook of Computational Group Theory (2005), ch. 8.
+    powers.  Sifting left-multiplies by those powers to clear the leading
+    coordinate until the element is the identity or leads at an empty slot;
+    each layer is central modulo the next, so u^-e x clears the same pivot
+    as x u^-e.  Closure puts each new basis element's p-th power and its
+    commutators with the earlier basis elements (and its conjugates by
+    `conjugators`) on the queue.  The normal-form words in the basis are
+    then the subgroup, of order p^(number of basis elements); see Holt, Eick
+    and O'Brien, Handbook of Computational Group Theory (2005), ch. 8.
+    Every product takes its left factor from the basis, its inverse powers,
+    the element being scaled and the conjugators, so the group's power
+    cache, keyed by the left factor, hits.
 
     Certificate: every sift step must clear its pivot and leave no earlier
     slot nonzero, every u^p must lie in a deeper layer than u, and every
@@ -159,11 +175,11 @@ class _PcSequence:
         return 2 * na
 
     def sift(self, x):
-        """x times inverse basis powers: the identity exactly when x is a member."""
+        """Inverse basis powers times x: the identity exactly when x is a member."""
         mul, coord, inv_pows = self.group.mul, self._coord, self._inv_pows
         s = self._lead(x)
         while s < len(coord) and inv_pows[s] is not None:
-            y = mul(x, inv_pows[s][x[coord[s]]])
+            y = mul(inv_pows[s][x[coord[s]]], x)
             t = self._lead(y)
             if t <= s:
                 raise RuntimeError(
@@ -198,7 +214,7 @@ class _PcSequence:
                 continue
             u = r  # scale the pivot to 1: u = r^e with e * r_pivot = 1 mod p
             for _ in range(pow(r[coord[s]], -1, p) - 1):
-                u = mul(u, r)
+                u = mul(r, u)
             if self._lead(u) != s or u[coord[s]] != 1:
                 raise RuntimeError(
                     f"pc certificate failed: a power of {r} does not lead at slot {s} "
@@ -207,17 +223,17 @@ class _PcSequence:
             ui = G.inv(u)
             pw = [G.identity, ui]
             for _ in range(p - 1):
-                pw.append(mul(pw[-1], ui))
+                pw.append(mul(ui, pw[-1]))
             power = pw.pop()  # u^-p lies in the subgroup exactly when u^p does
             self._check_below(power, s, "the p-th power")
             queue.append(power)
             for t, v in enumerate(basis):
                 if v is not None:
-                    c = mul(mul(inv_pows[t][1], ui), mul(v, u))  # [v, u]
+                    c = mul(inv_pows[t][1], mul(ui, mul(v, u)))  # [v, u]
                     self._check_below(c, max(s, t), "the commutator")
                     queue.append(c)
             for t, ti in self._conjugators:
-                queue.append(mul(mul(ti, u), t))
+                queue.append(mul(ti, mul(u, t)))
             basis[s], inv_pows[s] = u, tuple(pw)
             self._size += 1
         return self._size > size
@@ -235,7 +251,7 @@ class _PcSequence:
 class QuotientGroup:
     """The quotient of the Riordan group over F_p at a given level n >= 2."""
 
-    __slots__ = ("p", "level", "na", "order", "identity", "_pow_cache", "_full")
+    __slots__ = ("p", "level", "na", "order", "identity", "_w", "_pow_cache", "_full")
 
     def __init__(self, p, level):
         ring = CoeffRing(p)  # validates primality
@@ -247,6 +263,7 @@ class QuotientGroup:
         self.na = level - 1
         self.order = p ** (2 * (level - 1))
         self.identity = (0,) * (2 * (level - 1))
+        self._w = (level * level * self.p**3).bit_length()  # packed slot width, see mul
         self._pow_cache = {}
         self._full = None
         self._spot_check_law()
@@ -294,32 +311,62 @@ class QuotientGroup:
 
     # -- group law ------------------------------------------------------
 
+    def _packed_powers(self, b):
+        # g^0..g^L for g = x + sum b_j x^j, each row packed into one int with
+        # coefficient k in bits [k*w, (k+1)*w); cleared when full.
+        cache = self._pow_cache
+        P = cache.get(b)
+        if P is None:
+            if len(cache) >= _POW_CACHE_LIMIT:
+                cache.clear()
+            w, rows = self._w, []
+            for j, row in enumerate(_powers((0, 1) + b, self.p)):
+                v = 0
+                for c in reversed(row[j:]):  # row j starts at x^j
+                    v = (v << w) | c
+                rows.append(v << (w * j))
+            P = cache[b] = tuple(rows)
+        return P
+
     def mul(self, x, y):
-        """The quotient law: substitute x's g into both components of y."""
-        p, na, L = self.p, self.na, self.level
-        # powers g_x^0..g_x^L, cached per b-part of x
-        pows = self._pow_cache.get(x[na:])
-        if pows is None:
-            pows = self._pow_cache[x[na:]] = _powers((0, 1) + x[na:], p)
-        # h-part: h_x * h_y(g_x)
-        acc = list(pows[0])
-        for i in range(1, L):
-            c = y[i - 1]
+        """The quotient law: substitute x's g into both components of y.
+
+        Kronecker substitution on packed rows P[j] = g_x^j (entries < p):
+        h = h_x * (P[0] + sum_i y_ai P[i]) and g = P[1] + sum_j y_bj P[j].
+        With L = level, a slot of the h accumulator is at most
+        1 + (L-1)(p-1)^2 < L p^2, a slot of h_x at most p-1 over L terms, so
+        every slot of the product h stays below L^2 p^3 < 2^w, and a slot of
+        g below L p^2.  No slot overflows, so no carry ever moves a bit
+        upward into the next slot, and each slot is the exact integer
+        coefficient, reduced mod p on unpacking.
+        """
+        p, na, w = self.p, self.na, self._w
+        P = self._packed_powers(x[na:])
+        acc, g = P[0], P[1]
+        i = 1
+        for c in y[:na]:
             if c:
-                pi = pows[i]
-                for k in range(i, L + 1):
-                    acc[k] += c * pi[k]
-        hx = (1,) + x[:na] + (0,)
-        h = _mul_coeffs(hx, tuple(acc), p)
-        # g-part: g_x + sum_j y_bj * g_x^j
-        gacc = list(pows[1])
-        for j in range(2, L + 1):
-            c = y[na + j - 2]
+                acc += c * P[i]
+            i += 1
+        i = 2
+        for c in y[na:]:
             if c:
-                pj = pows[j]
-                for k in range(j, L + 1):
-                    gacc[k] += c * pj[k]
-        return h[1:L] + tuple(c % p for c in gacc[2 : L + 1])
+                g += c * P[i]
+            i += 1
+        hx = 0
+        for c in reversed(x[:na]):
+            hx = (hx << w) | c
+        h = ((hx << w) + 1) * acc
+        mask = (1 << w) - 1
+        out = []
+        for _ in range(na):  # h slots 1..L-1
+            h >>= w
+            out.append((h & mask) % p)
+        g >>= w
+        for _ in range(na):  # g slots 2..L
+            g >>= w
+            out.append((g & mask) % p)
+        return tuple(out)
 
     def inv(self, x):
         p, na, L = self.p, self.na, self.level
@@ -420,17 +467,24 @@ class QuotientGroup:
         )
 
     def full_group(self):
-        """The whole quotient as a handle (coordinate generators)."""
+        """The whole quotient as the closure of its coordinate generators.
+
+        The generators go in pc slot order a_1, b_2, a_2, b_3, ..., and
+        subgroup() keeps only those not yet generated: three at odd p from
+        level 3 on (G/Phi(G) has rank 3, by the Burnside basis theorem), four
+        at p = 2 from level 7 on.  The pc order certifies the set.
+        """
         if self._full is None:
-            handle = self.standard_subgroup(1, 1)
-            self._full = SubgroupHandle(
-                self,
-                handle.gens,
-                self.order,
-                member=lambda x: True,
-                builder=self.iter_elements,
-                name="R",
-            )
+            na = self.na
+            slots = [s // 2 + na * (s % 2) for s in range(2 * na)]
+            handle = self.subgroup([tuple(int(i == c) for i in range(2 * na)) for c in slots])
+            if handle.order != self.order:
+                raise RuntimeError(
+                    f"the coordinate generators close to order {handle.order}, not "
+                    f"{self.order}, at p={self.p}, level={self.level}"
+                )
+            handle.name = "R"
+            self._full = handle
         return self._full
 
     def __repr__(self):
@@ -442,8 +496,9 @@ def commutator_subgroup(A, B):
 
     Generator-based normal closure: sift the commutators of generator
     pairs, with every new basis element's conjugates by the generators of
-    both handles on the closure queue.  This equals [A, B] exactly in a
-    finite group, with no all-pairs pass.  Both handles must carry true
+    <A, B> on the closure queue.  This equals [A, B] exactly in a finite
+    group, with no all-pairs pass.  When every generator of B sifts into A,
+    <A, B> = A and A's generators suffice.  Both handles must carry true
     generating sets of their subgroups; the result's generators are its
     pc basis.
     """
@@ -451,10 +506,11 @@ def commutator_subgroup(A, B):
     if B.group is not G:
         raise ValueError("handles belong to different quotient groups")
     inverse = {t: G.inv(t) for t in A.gens + B.gens}
-    pc = _PcSequence(G, list(inverse.items()))
+    conjugators = A.gens if all(y in A for y in B.gens) else A.gens + B.gens
+    pc = _PcSequence(G, [(t, inverse[t]) for t in dict.fromkeys(conjugators)])
     for x in A.gens:
         for y in B.gens:
-            pc.add(G.mul(G.mul(inverse[x], inverse[y]), G.mul(x, y)))  # [x, y]
+            pc.add(G.mul(inverse[x], G.mul(inverse[y], G.mul(x, y))))  # [x, y]
     basis = pc.basis
     G._verify_closed(pc, basis)
     return SubgroupHandle(G, basis, pc.order, pc.__contains__, pc.elements, name="commutator")
@@ -590,8 +646,14 @@ def hm_generation_check(p, level, m):
     level, m = int(level), int(m)
     if not 2 <= m < level:
         raise ValueError("need 2 <= m < level")
+    ring = CoeffRing(p)  # validates primality
+    # the candidates are exactly the elements of H^m: an enumeration
+    candidates = ring.p ** (level - m)
+    if candidates > max_elements():
+        raise CapExceededError(
+            f"hm-check would build {candidates} twist candidates, cap is {max_elements()}"
+        )
     G = QuotientGroup(p, level)
-    ring = CoeffRing(p)
     h = UnitSeries(ring, (1, 1) + (0,) * (level - 1))
     x_series = NottSeries.identity(ring, level)
     gens = []
@@ -610,6 +672,15 @@ def hm_generation_check(p, level, m):
     )
 
 
+def _tuple_at(n, p, width):
+    # The n-th tuple of itertools.product(range(p), repeat=width): the base-p
+    # digits of n, most significant first.
+    t = [0] * width
+    for i in range(width - 1, -1, -1):
+        n, t[i] = divmod(n, p)
+    return tuple(t)
+
+
 @dataclass(frozen=True)
 class TowerReport:
     passed: bool
@@ -622,14 +693,20 @@ def tower_consistency(G_hi, G_lo, samples=None, seed=0):
     """Coordinate truncation is a surjective homomorphism one level down.
 
     samples=None checks every pair exhaustively (small groups only);
-    otherwise that many (at least one) seeded random pairs are checked.
+    otherwise that many (at least one) seeded random pairs are checked,
+    each tuple the base-p digits of one draw from range(order).  Both the
+    pair count and the number of samples go through the enumeration cap.
     """
     if G_hi.p != G_lo.p:
         raise ValueError("quotients must share the prime")
     if G_hi.level != G_lo.level + 1:
         raise ValueError("levels must be consecutive (high, low)")
-    if samples is not None and int(samples) < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    if samples is not None:
+        samples = int(samples)
+        if samples < 1:
+            raise ValueError(f"samples must be >= 1, got {samples}")
+        if samples > max_elements():
+            raise CapExceededError(f"{samples} tower samples exceed the cap {max_elements()}")
     na_hi, na_lo = G_hi.na, G_lo.na
 
     def proj(x):
@@ -645,9 +722,10 @@ def tower_consistency(G_hi, G_lo, samples=None, seed=0):
     labels = tuple(range(2 * na_lo))
     surjective = proj(pad(labels)) == labels
     if samples is None:
-        if G_hi.order ** 2 > 4 * 10**6:
+        if G_hi.order ** 2 > max_elements():
             raise CapExceededError(
-                f"exhaustive tower check needs {G_hi.order ** 2} pairs; pass samples="
+                f"exhaustive tower check needs {G_hi.order ** 2} pairs, cap is "
+                f"{max_elements()}; pass samples="
             )
         elems = list(G_hi.iter_elements())
         pairs = 0
@@ -657,12 +735,11 @@ def tower_consistency(G_hi, G_lo, samples=None, seed=0):
                     return TowerReport(False, pairs, "exhaustive", surjective)
                 pairs += 1
         return TowerReport(surjective, pairs, "exhaustive", surjective)
-    samples = int(samples)
     rng = random.Random(seed)
-    width = 2 * na_hi
+    p, order, width = G_hi.p, G_hi.order, 2 * na_hi
     for k in range(samples):
-        x = tuple(rng.randrange(G_hi.p) for _ in range(width))
-        y = tuple(rng.randrange(G_hi.p) for _ in range(width))
+        x = _tuple_at(rng.randrange(order), p, width)
+        y = _tuple_at(rng.randrange(order), p, width)
         if proj(G_hi.mul(x, y)) != G_lo.mul(proj(x), proj(y)):
             return TowerReport(False, k + 1, "sampled", surjective)
     return TowerReport(surjective, samples, "sampled", surjective)

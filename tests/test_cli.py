@@ -247,6 +247,25 @@ def test_index_enumerations_past_the_cap_are_refused(capsys, tmp_path):
         assert err.startswith("error:") and "cap" in err
 
 
+def test_quotient_enumerations_past_the_cap_are_refused(capsys, monkeypatch):
+    # hm-check builds 3^18 twist candidates (the elements of H^2), and the
+    # sampled tower check would draw 10^10 pairs
+    for argv in (
+        ("hm-check", "--p", "3", "--level", "20", "--m", "2"),
+        ("tower-check", "--p", "3", "--level", "4", "--samples", "10000000000"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "cap" in err
+    # the exhaustive tower check counts its 16^2 pairs against the same cap
+    monkeypatch.setenv("RIORDAN_MAX_ELEMS", "100")
+    code, out, err = run_cli(capsys, "tower-check", "--p", "2", "--level", "3")
+    assert (code, out) == (2, "")
+    assert "256 pairs" in err and "cap" in err
+
+
 def test_output_is_deterministic(capsys, tmp_path):
     pair = payload(tmp_path, PAIR_3N_J)
     first = run_cli(capsys, "hdim", "--p", "3", "--grid", "16", "--in", pair)

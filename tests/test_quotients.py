@@ -26,7 +26,7 @@ from riordan import (
     verify_lcs_formula,
     width_report,
 )
-from util import closed_exhaustively, closure_by_bfs, rand_elem
+from util import closed_exhaustively, closure_by_bfs, mul_by_loops, rand_elem
 
 F3 = CoeffRing(3)
 
@@ -107,6 +107,60 @@ def test_quotient_law_matches_series_law():
     assert G.mul(G.identity, G.identity) == G.identity
 
 
+@pytest.mark.parametrize(
+    "p, level", [(2, 9), (3, 5), (7, 4), (5, 26), (3, 45), (2147483647, 3), (2147483647, 4)]
+)
+def test_packed_law_matches_the_loop_law(p, level):
+    # the all-(p-1) pair fills every packed slot closest to its bound
+    G = QuotientGroup(p, level)
+    width = 2 * G.na
+    rng = random.Random(41 * level + p % 1000)
+    pairs = [((p - 1,) * width, (p - 1,) * width), (G.identity, (p - 1,) * width)]
+    pairs += [tuple(tuple(rng.randrange(p) for _ in range(width)) for _ in "xy") for _ in range(40)]
+    for x, y in pairs:
+        assert G.mul(x, y) == mul_by_loops(G, x, y)
+
+
+def test_full_group_keeps_three_generators():
+    # d(G) = rank of G/Phi(G): b_3 is new at level 3 and, at p = 2, b_5 at level 7
+    for p in (2, 3, 5, 7):
+        for level in range(2, 14):
+            kept = len(QuotientGroup(p, level).full_group().gens)
+            if level == 2:
+                assert kept == 2
+            elif p == 2 and level >= 7:
+                assert kept == 4, (p, level)
+            else:
+                assert kept == 3, (p, level)
+
+
+def test_power_cache_stays_bounded(monkeypatch):
+    hi, lo = QuotientGroup(3, 12), QuotientGroup(3, 11)
+    packed = QuotientGroup._packed_powers
+    sizes = []
+
+    def recording(self, b):
+        rows = packed(self, b)
+        sizes.append(len(self._pow_cache))
+        return rows
+
+    monkeypatch.setattr(QuotientGroup, "_packed_powers", recording)
+    rep = tower_consistency(hi, lo, samples=5000, seed=3)
+    assert rep.passed and rep.pairs_checked == 5000
+    # 5000 random left factors over 3^11 b-parts overflow the cache at least once
+    assert len(sizes) == 10000
+    full = sizes.index(quotients._POW_CACHE_LIMIT)
+    assert max(sizes) == quotients._POW_CACHE_LIMIT
+    assert min(sizes[full:]) == 1  # cleared, then refilled
+
+
+@pytest.mark.parametrize("p, level", [(3, 3), (2, 4)])
+def test_tower_tuples_decode_bijectively(p, level):
+    G = QuotientGroup(p, level)
+    decoded = [quotients._tuple_at(n, p, 2 * G.na) for n in range(G.order)]
+    assert decoded == list(G.iter_elements())
+
+
 def test_closure_pins():
     G3 = QuotientGroup(3, 3)
     assert G3.subgroup([G3.identity]).order == 1
@@ -142,8 +196,11 @@ def test_every_closure_passes_the_exhaustive_oracle(monkeypatch, p, level):
         closures.append(handle)
         return handle
 
-    monkeypatch.setattr(QuotientGroup, "subgroup", recording)
+    # the full group is itself a closure; build it before recording, so the
+    # count below holds only the closures listed there
     G = QuotientGroup(p, level)
+    G.full_group()
+    monkeypatch.setattr(QuotientGroup, "subgroup", recording)
     closures += lower_central_series(G, level)[1:]
     rng = random.Random(31 * p + level)
     for k in (1, 1, 2, 2):
@@ -213,6 +270,8 @@ def test_commutator_subgroup_matches_all_pairs_oracle():
     # elements; with their conjugates, [A, B] has 27
     cases = [(QuotientGroup(p, level).full_group(),) * 2 for p, level in ((2, 3), (3, 3))]
     cases.append((G4.subgroup([(2, 0, 2, 0, 1, 0), (0, 0, 2, 2, 0, 1)]), G4.subgroup([(1, 2, 0, 2, 0, 1)])))
+    # B <= A in the first two cases (A's generators conjugate), not in the third
+    assert [all(b in A for b in B.gens) for A, B in cases] == [True, True, False]
     for A, B in cases:
         G = A.group
         derived = commutator_subgroup(A, B)

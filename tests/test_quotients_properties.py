@@ -1,4 +1,4 @@
-"""Property tests for pc closures against the coset BFS (needs hypothesis, test-only)."""
+"""Property tests for the quotient law and pc closures against references (needs hypothesis, test-only)."""
 
 import pytest
 
@@ -6,9 +6,26 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from riordan import QuotientGroup, commutator_subgroup  # noqa: E402
-from util import closure_by_bfs  # noqa: E402
+from util import closure_by_bfs, mul_by_loops  # noqa: E402
 
 GROUPS = {(p, level): QuotientGroup(p, level) for p, level in ((2, 4), (3, 4), (5, 3), (3, 5))}
+LAWS = {
+    (p, level): QuotientGroup(p, level)
+    for p, level in ((2, 9), (3, 5), (7, 4), (5, 26), (3, 45), (2147483647, 3), (2147483647, 4))
+}
+
+
+@pytest.mark.parametrize("p, level", sorted(LAWS))
+def test_packed_law_matches_the_loop_law(p, level):
+    G = LAWS[p, level]
+    element = st.tuples(*[st.integers(0, p - 1)] * (2 * G.na))
+
+    @hypothesis.settings(max_examples=30, deadline=None)
+    @hypothesis.given(element, element)
+    def check(x, y):
+        assert G.mul(x, y) == mul_by_loops(G, x, y)
+
+    check()
 
 
 @pytest.mark.parametrize("p, level", sorted(GROUPS))

@@ -4,6 +4,7 @@ from collections import deque
 from fractions import Fraction
 
 from riordan import CapExceededError, NottSeries, RiordanElem, TruncSeries, UnitSeries, max_elements
+from riordan.series import _mul_coeffs, _powers
 
 
 def rand_coeff(rng, ring):
@@ -79,6 +80,35 @@ def reversion_by_degree(g, mod):
         s = horner_compose((0, 0) + tuple(g[2 : m + 1]), tuple(r), mod)
         r[m] = -s[m] if mod is None else -s[m] % mod
     return tuple(r)
+
+
+# Quotient-law reference: the coefficient loops the library used before the
+# packed-integer law, with the power table rebuilt on every call.
+
+def mul_by_loops(G, x, y):
+    """The quotient law of G on coordinate tuples: substitute x's g into both components of y."""
+    p, na, L = G.p, G.na, G.level
+    # powers g_x^0..g_x^L
+    pows = _powers((0, 1) + x[na:], p)
+    # h-part: h_x * h_y(g_x)
+    acc = list(pows[0])
+    for i in range(1, L):
+        c = y[i - 1]
+        if c:
+            pi = pows[i]
+            for k in range(i, L + 1):
+                acc[k] += c * pi[k]
+    hx = (1,) + x[:na] + (0,)
+    h = _mul_coeffs(hx, tuple(acc), p)
+    # g-part: g_x + sum_j y_bj * g_x^j
+    gacc = list(pows[1])
+    for j in range(2, L + 1):
+        c = y[na + j - 2]
+        if c:
+            pj = pows[j]
+            for k in range(j, L + 1):
+                gacc[k] += c * pj[k]
+    return h[1:L] + tuple(c % p for c in gacc[2 : L + 1])
 
 
 # Exhaustive closure reference, written independently of the coset walk:
