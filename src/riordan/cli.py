@@ -6,11 +6,15 @@ numeric parameters as flags.  Output is machine-readable (key=value lines
 or CSV) unless --human asks for prose.  Exit status: 0 success and, for
 verifier commands, a passing verdict; 1 a failing verdict or violation;
 2 usage errors, malformed literals, and violated preconditions.
+
+The parser is built once per process, on the first call of main(), and
+reused by every later call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -422,10 +426,18 @@ def build_parser():
     return parser
 
 
+# Reusing one parser is safe: nothing mutates it after construction,
+# parse_args fills a fresh Namespace on each call, every default is
+# immutable, and argparse looks up sys.stdout, sys.stderr and the terminal
+# width when it prints, not when it is built.
+@functools.cache
+def _parser():
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

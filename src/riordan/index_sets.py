@@ -195,9 +195,6 @@ class IndexSet:
             return n in self.exceptional
         return (n % self.period) in self.residues
 
-    def contains(self, n):
-        return n in self
-
     def count_upto(self, bound):
         """|{n in self : n <= bound}| by closed formula."""
         bound = int(bound)
@@ -369,12 +366,17 @@ def sumset_closed(s, bound=None):
     Membership up to 2*bound is one int.  For each member i in ascending
     order, rest holds the members j >= i, so the lowest set bit of
     (rest << i) & ~inside is the least i+j outside s: the first witness of
-    the pair scan in (i, j) order.
+    the pair scan in (i, j) order.  A 2*bound above the enumeration cap
+    raises CapExceededError.
     """
     cert = sumset_certification_bound(s)
     if bound is None:
         bound = cert
     bound = int(bound)
+    if 2 * bound > max_elements():
+        raise CapExceededError(
+            f"the sumset scan reads membership up to 2*bound={2 * bound}; the cap is {max_elements()}"
+        )
     inside = _member_bits(s, 2 * bound)
     rest = inside & ((2 << max(bound, 0)) - 1)
     while rest:
@@ -530,12 +532,19 @@ def admissible_check(I, J, p, bound=1000):
 
     The outer indices i, j run up to the bound; the inner quantifier over J
     is exact (see _shift_check).  Conditions are tried in order and the
-    first violation wins; every witness re-verifies independently.
+    first violation wins; every witness re-verifies independently.  The
+    sumset step reads membership up to 2*bound, so a 2*bound above the
+    enumeration cap raises CapExceededError before any scan.
     """
     CoeffRing(p)
     bound = int(bound)
     if bound < 4:
         raise ValueError("bound must be >= 4")
+    if 2 * bound > max_elements():
+        raise CapExceededError(
+            f"the admissibility scan reads membership up to 2*bound={2 * bound}; "
+            f"the cap is {max_elements()}"
+        )
 
     def scan(base_set, cond):
         # cond 1: partner J, target J, binomial on base+1
@@ -665,12 +674,18 @@ def Jxi(xi, p, emit_bound=10**4):
     of p*xi.  Membership is re-verified against the direct w(j) < xi scan
     up to emit_bound >= 1 before returning, in integers:
     w(j) = rev/p^L < num/den exactly when rev*den < num*p^L.  A period
-    p^(K+1) above the enumeration cap raises CapExceededError.
+    p^(K+1) or an emit_bound above the enumeration cap raises
+    CapExceededError.
     """
     CoeffRing(p)
     emit_bound = int(emit_bound)
     if emit_bound < 1:
         raise ValueError(f"emit_bound must be >= 1, got {emit_bound}")
+    if emit_bound > max_elements():
+        raise CapExceededError(
+            f"the J(xi) re-verification scans j up to emit_bound={emit_bound}; "
+            f"the cap is {max_elements()}"
+        )
     xi = Fraction(xi)
     if xi < 0 or xi > Fraction(1, p):
         raise ValueError("xi must lie in [0, 1/p]")

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 
+from riordan import cli
 from riordan.cli import main
 
 PASCAL5 = "riordan\nring=Fp:5; trunc=5; coeffs=1,1,1,1,1,1\nring=Fp:5; trunc=5; coeffs=0,1,1,1,1,1\n"
@@ -233,12 +234,17 @@ def test_error_paths(capsys, tmp_path):
 
 
 def test_index_enumerations_past_the_cap_are_refused(capsys, tmp_path):
-    # J(xi) with period 3^20, and a pair whose set operations run over the
-    # lcm of the periods (3000009 for the first one classify tries)
+    # J(xi) with period 3^20, a pair whose set operations run over the lcm
+    # of the periods (3000009 for the first one classify tries), and scans
+    # over 2*bound or emit_bound integers
     far = payload(tmp_path, "T=0; except=; period=1000003; residues=0\nT=0; except=; period=1000033; residues=2\n")
+    pair = payload(tmp_path, PAIR_3N_J, "pair.txt")
     for argv in (
         ("jxi", "--p", "3", "--xi", "1162261466/3486784401"),
         ("classify", "--p", "3", "--in", far),
+        ("admissible", "--p", "3", "--bound", "1000000000000", "--in", pair),
+        ("hdim", "--p", "3", "--bound", "1000000000000", "--in", pair),
+        ("jxi", "--p", "3", "--xi", "1/9", "--emit-bound", "1000000000000"),
     ):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
@@ -274,6 +280,57 @@ def test_output_is_deterministic(capsys, tmp_path):
     assert run_cli(capsys, "lcs-verify", "--p", "3", "--level", "4", "--depth", "4") == run_cli(
         capsys, "lcs-verify", "--p", "3", "--level", "4", "--depth", "4"
     )
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch, tmp_path):
+    builds = []
+    build = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return build()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting)
+    pair = payload(tmp_path, PAIR_2N_N)
+    codes = [
+        run_cli(capsys, "jxi", "--p", "3", "--xi", "1/9")[0],
+        run_cli(capsys, "hm-check", "--p", "3", "--level", "4")[0],
+        run_cli(capsys, "--help")[0],
+        run_cli(capsys, "jxi", "--p", "3", "--xi", "2/0")[0],
+        run_cli(capsys, "admissible", "--p", "3", "--in", pair)[0],
+        run_cli(capsys, "width", "--p", "3", "--level", "4", "--depth", "4")[0],
+    ]
+    assert codes == [0, 2, 0, 2, 1, 0]
+    assert len(builds) == 1
+
+
+def test_no_state_carries_over_between_calls(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "tower-check", "--p", "3", "--level", "4", "--samples", "5", "--seed", "9")
+    assert (code, out.splitlines()[0]) == (0, "mode=sampled")
+    code, out, _ = run_cli(capsys, "tower-check", "--p", "2", "--level", "3")
+    assert (code, out) == (0, "mode=exhaustive\npairs=256\nsurjective=true\npassed=true\n")
+
+    violating = payload(tmp_path, PAIR_2N_N)
+    code, _, _ = run_cli(capsys, "hdim", "--p", "3", "--grid", "8", "--skip-admissible", "--in", violating)
+    assert code == 0
+    code, out, err = run_cli(capsys, "hdim", "--p", "3", "--grid", "8", "--in", violating)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: pair is not admissible")
+
+
+def test_help_and_usage_text_are_stable_across_calls(capsys):
+    cli._parser.cache_clear()
+    first_help = run_cli(capsys, "--help")
+    first_usage = run_cli(capsys, "hm-check", "--p", "3", "--level", "4")
+    for _ in range(5):
+        run_cli(capsys, "jxi", "--p", "3", "--xi", "1/9")
+        run_cli(capsys, "density", "--in", "/nonexistent/payload.txt")
+    assert run_cli(capsys, "--help") == first_help
+    assert run_cli(capsys, "hm-check", "--p", "3", "--level", "4") == first_usage
+    assert first_help[0] == 0 and first_help[1].startswith("usage: riordan ")
+    assert first_usage[:2] == (2, "")
+    assert "the following arguments are required: --m" in first_usage[2]
 
 
 def test_module_entry_point(tmp_path):

@@ -8,6 +8,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from riordan import (
+    CapExceededError,
     ClassificationError,
     FiltrationSpec,
     IndexSet,
@@ -110,7 +111,7 @@ def test_membership_and_counting_against_scan():
         s = rand_index_set(rng)
         hi = s.threshold + 3 * s.period + 40
         members = brute_members(s, hi)
-        assert {k for k in range(1, hi + 1) if s.contains(k)} == members
+        assert {k for k in range(1, hi + 1) if k in s} == members
         for n in (0, 1, 7, hi):
             assert s.count_upto(n) == sum(1 for m in members if m <= n)
         if members:
@@ -330,6 +331,26 @@ def test_jxi_pins():
         with pytest.raises(ValueError, match="emit_bound"):
             Jxi(Fr(1, 9), 3, emit_bound=emit_bound)
     assert Jxi(Fr(1, 9), 3, emit_bound=1) == IndexSet(period=9, residues=(8,))
+
+
+def test_scan_bounds_go_through_the_cap(monkeypatch):
+    # each scan is refused exactly when it would read past the cap
+    monkeypatch.setenv("RIORDAN_MAX_ELEMS", "2000")
+    assert admissible_check(N3, IndexSet.progression(2, 3), 3, bound=1000).passed
+    with pytest.raises(CapExceededError, match="admissibility scan .* 2\\*bound=2002; the cap is 2000"):
+        admissible_check(N3, IndexSet.progression(2, 3), 3, bound=1001)
+    assert Jxi(Fr(1, 9), 3, emit_bound=2000) == IndexSet(period=9, residues=(8,))
+    with pytest.raises(CapExceededError, match="emit_bound=2001; the cap is 2000"):
+        Jxi(Fr(1, 9), 3, emit_bound=2001)
+    assert sumset_closed(N3, bound=1000).closed
+    with pytest.raises(CapExceededError, match="2\\*bound=2002"):
+        sumset_closed(N3, bound=1001)
+    # the default bound 2(threshold + period) is capped like an explicit one
+    monkeypatch.setenv("RIORDAN_MAX_ELEMS", "12")
+    assert sumset_closed(N3).certified
+    monkeypatch.setenv("RIORDAN_MAX_ELEMS", "11")
+    with pytest.raises(CapExceededError, match="2\\*bound=12"):
+        sumset_closed(N3)
 
 
 def test_jxi_agrees_with_digit_weight():
