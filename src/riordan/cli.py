@@ -32,6 +32,7 @@ from .index_sets import (
 )
 from .quotients import (
     QuotientGroup,
+    generation_check,
     hm_generation_check,
     sigma_filtration_check,
     tower_consistency,
@@ -195,16 +196,14 @@ def _cmd_width(args):
 
 def _cmd_gens_check(args):
     G = QuotientGroup(args.p, args.level)
-    candidates = _payload_riordan(args)
-    handle = G.subgroup([G.canonicalize(c) for c in candidates])
-    generates = handle.order == G.order
+    report = generation_check(G, _payload_riordan(args))
     print(
         f"level={args.level} p={args.p} subgroup=closure "
-        f"order={handle.order} generators={len(handle.gens)}"
+        f"order={report.closure_order} generators={report.generators}"
     )
-    print(f"group_order={G.order}")
-    print(f"generates={_bool(generates)}")
-    return 0 if generates else 1
+    print(f"group_order={report.group_order}")
+    print(f"generates={_bool(report.generates)}")
+    return 0 if report.generates else 1
 
 
 def _cmd_hm_check(args):
@@ -266,7 +265,7 @@ def _cmd_admissible(args):
 def _cmd_density(args):
     (s,) = _payload_index_sets(args, 1)
     d = density(s)
-    print(f"density={_frac(d.value)} ldense={_frac(d.ldense)} udense={_frac(d.udense)}")
+    print(f"density={_frac(d.value)} ldense={_frac(d.lower)} udense={_frac(d.upper)}")
     return 0
 
 

@@ -27,12 +27,11 @@ from math import gcd, lcm
 
 from .group import RiordanElem, rinv, rmul
 from .series import (
-    CapExceededError,
     CoeffRing,
     NottSeries,
     UnitSeries,
     _literal_fields,
-    max_elements,
+    require_within_cap,
 )
 
 
@@ -52,15 +51,6 @@ class DensityValue:
         if not self.exists:
             raise ValueError("density does not exist")
         return self.lower
-
-    # the liminf/limsup names used in the literature
-    @property
-    def ldense(self):
-        return self.lower
-
-    @property
-    def udense(self):
-        return self.upper
 
 
 def _prime_divisors(n):
@@ -251,11 +241,10 @@ class IndexSet:
             raise TypeError("expected an IndexSet")
         m = lcm(self.period, other.period)
         t = max(self.threshold, other.threshold)
-        if max(m, t) > max_elements():
-            raise CapExceededError(
-                f"combining index sets needs lcm(periods)={m} residues and a threshold of "
-                f"{t}; the cap is {max_elements()}"
-            )
+        require_within_cap(
+            max(m, t),
+            f"combining index sets needs lcm(periods)={m} residues and a threshold of {t}",
+        )
         res = {
             x
             for x in range(m)
@@ -373,10 +362,7 @@ def sumset_closed(s, bound=None):
     if bound is None:
         bound = cert
     bound = int(bound)
-    if 2 * bound > max_elements():
-        raise CapExceededError(
-            f"the sumset scan reads membership up to 2*bound={2 * bound}; the cap is {max_elements()}"
-        )
+    require_within_cap(2 * bound, f"the sumset scan reads membership up to 2*bound={2 * bound}")
     inside = _member_bits(s, 2 * bound)
     rest = inside & ((2 << max(bound, 0)) - 1)
     while rest:
@@ -421,8 +407,6 @@ def _dominated_ns(a, p):
     while x:
         x, d = divmod(x, p)
         digits.append(d)
-    if not digits:
-        return ()
     out = []
     for combo in itertools.product(*(range(d + 1) for d in digits)):
         n = 0
@@ -488,11 +472,13 @@ class AdmissibilityReport:
 def _shift_check(base, n, partner, target):
     """Does base + n*w stay in target for EVERY w in partner?  Exact.
 
-    Exceptional partner members are checked directly.  Each partner residue
-    class is checked through one full phase cycle of values mod the target
-    period; values that land below the target threshold are re-checked at a
-    bumped representative in the same class.  Returns None, or a witness
-    (w, base + n*w) escaping the target.
+    Exceptional partner members are checked directly.  Along each partner
+    residue class the values base + n*w strictly increase.  Below the
+    target threshold each one must be an exceptional member, so that walk
+    ends within len(target.exceptional) + 1 steps; past the threshold
+    membership follows the value mod the target period, which repeats
+    after one phase cycle.  Returns None, or a witness (w, base + n*w)
+    escaping the target, with w least in its class.
     """
     for e in partner.exceptional:
         v = base + n * e
@@ -503,19 +489,16 @@ def _shift_check(base, n, partner, target):
     lo = max(partner.threshold, 1)
     stride = n * mp
     for r in sorted(partner.residues):
-        w0 = partner.first_in_class(r, lo)
-        for t in range(cycle):
-            w = w0 + t * mp
-            v = base + n * w
+        w = partner.first_in_class(r, lo)
+        v = base + n * w
+        while v < target.threshold:
             if v not in target:
                 return (w, v)
-            if v < target.threshold:
-                # same value class, pushed past the threshold
-                k = -(-(target.threshold - v) // (stride * cycle))
-                w2 = w + k * cycle * mp
-                v2 = base + n * w2
-                if v2 not in target:
-                    return (w2, v2)
+            w, v = w + mp, v + stride
+        for _ in range(cycle):
+            if v not in target:
+                return (w, v)
+            w, v = w + mp, v + stride
     return None
 
 
@@ -540,11 +523,9 @@ def admissible_check(I, J, p, bound=1000):
     bound = int(bound)
     if bound < 4:
         raise ValueError("bound must be >= 4")
-    if 2 * bound > max_elements():
-        raise CapExceededError(
-            f"the admissibility scan reads membership up to 2*bound={2 * bound}; "
-            f"the cap is {max_elements()}"
-        )
+    require_within_cap(
+        2 * bound, f"the admissibility scan reads membership up to 2*bound={2 * bound}"
+    )
 
     def scan(base_set, cond):
         # cond 1: partner J, target J, binomial on base+1
@@ -681,11 +662,9 @@ def Jxi(xi, p, emit_bound=10**4):
     emit_bound = int(emit_bound)
     if emit_bound < 1:
         raise ValueError(f"emit_bound must be >= 1, got {emit_bound}")
-    if emit_bound > max_elements():
-        raise CapExceededError(
-            f"the J(xi) re-verification scans j up to emit_bound={emit_bound}; "
-            f"the cap is {max_elements()}"
-        )
+    require_within_cap(
+        emit_bound, f"the J(xi) re-verification scans j up to emit_bound={emit_bound}"
+    )
     xi = Fraction(xi)
     if xi < 0 or xi > Fraction(1, p):
         raise ValueError("xi must lie in [0, 1/p]")
@@ -711,8 +690,7 @@ def Jxi(xi, p, emit_bound=10**4):
             x -= d
         K = len(digits)
         P = p ** (K + 1)
-        if P > max_elements():
-            raise CapExceededError(f"J(xi) has period {p}^{K + 1}; the cap is {max_elements()}")
+        require_within_cap(P, f"J(xi) has period {p}^{K + 1}")
         residues = set()
         prefix = 0
         for n in range(1, K + 1):
@@ -759,12 +737,22 @@ class ConvergenceReport:
         return self.final_error <= Fraction(self.p * self.period, n)
 
 
-def density_convergence(p, s, xi, limit=10**5, source="indexset"):
+def _doubling_grid(top):
+    """The sample points 2, 4, 8, ... below top, then top itself."""
+    grid = []
+    n = 2
+    while n < top:
+        grid.append(n)
+        n *= 2
+    grid.append(top)
+    return grid
+
+
+def density_convergence(p, s, xi, limit=10**5):
     """Counting curve of J(xi) intersected with s*N against the limit xi/s.
 
-    source "indexset" counts through the progression decomposition;
-    source "scan" evaluates w(j) < xi directly for every j (slower, fully
-    independent).  Requires gcd(s, p) = 1.
+    Counts through the progression decomposition at the doubling grid
+    points up to limit.  Requires gcd(s, p) = 1.
     """
     CoeffRing(p)
     s = int(s)
@@ -774,41 +762,14 @@ def density_convergence(p, s, xi, limit=10**5, source="indexset"):
     if limit < 2:
         raise ValueError("limit must be >= 2")
     xi = Fraction(xi)
-    grid = []
-    n = 2
-    while n < limit:
-        grid.append(n)
-        n *= 2
-    grid.append(limit)
-
+    J = Jxi(xi, p).intersect(IndexSet.multiples(s))
     rows = []
-    if source == "indexset":
-        J = Jxi(xi, p).intersect(IndexSet.multiples(s))
-        period = J.period
-        for n in grid:
-            c = J.count_upto(n)
-            rows.append(ConvergenceRow(n, c, Fraction(c, n)))
-    elif source == "scan":
-        J = Jxi(xi, p)  # only for the period bound in the report
-        period = lcm(J.period, s)
-        num, den = xi.numerator, xi.denominator
-        count = 0
-        it = iter(grid)
-        nxt = next(it)
-        for j in range(1, limit + 1):
-            if j % s == 0 and j % p == p - 1:
-                rev, scale = _reversal(j + 1, p)
-                if rev * den < num * scale:
-                    count += 1
-            if j == nxt:
-                rows.append(ConvergenceRow(j, count, Fraction(count, j)))
-                nxt = next(it, None)
-    else:
-        raise ValueError("source must be 'indexset' or 'scan'")
-
+    for n in _doubling_grid(limit):
+        c = J.count_upto(n)
+        rows.append(ConvergenceRow(n, c, Fraction(c, n)))
     exact = xi / s
     final_error = abs(rows[-1].estimate - exact)
-    return ConvergenceReport(p, s, xi, exact, period, tuple(rows), final_error)
+    return ConvergenceReport(p, s, xi, exact, J.period, tuple(rows), final_error)
 
 
 class FiltrationSpec:
@@ -940,15 +901,8 @@ def hausdorff_dim(
         raise ValueError("grid bound too small")
     filtration.validate_range(top)
 
-    grid = []
-    n = 2
-    while n < top:
-        grid.append(n)
-        n *= 2
-    grid.append(top)
-
     rows = []
-    for n in grid:
+    for n in _doubling_grid(top):
         sn = filtration.value(n)
         num = I.count_upto(sn - 1) + J.count_upto(n - 1)
         den = (sn - 1) + (n - 1)

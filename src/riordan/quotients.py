@@ -19,11 +19,13 @@ commutator subgroups via normal closure of generator commutators, the lower
 central series and its closed form, width, generation checks, twist
 generation of H^m, the projection tower, and sigma-filtration containments.
 Subgroup orders, memberships and equalities cost polynomial work in the
-level; only an explicit element_set() enumerates.  The whole quotient is
-the closure of its coordinate generators, which keeps three of them (four
-at p = 2 from level 7 on), and every product in the engine takes its left
-factor from the basis, its inverse powers and the conjugators, so the
-power cache hits.
+level and linear work in p; only an explicit element_set() enumerates.
+Every enumeration, and the inverse-power tables of a polycyclic sequence,
+is counted against the enumeration cap by series.require_within_cap
+before it starts.  The whole quotient is the closure of its coordinate
+generators, which keeps three of them (four at p = 2 from level 7 on),
+and every product in the engine takes its left factor from the basis, its
+inverse powers and the conjugators, so the power cache hits.
 
 Everything returned is immutable; closure work touches no shared mutable
 state beyond a per-group cache of packed substitution powers, bounded by
@@ -42,8 +44,6 @@ from dataclasses import dataclass
 from .group import RiordanElem, rmul
 from .index_sets import FiltrationSpec
 from .series import (
-    DEFAULT_MAX_ELEMENTS,
-    CapExceededError,
     CoeffRing,
     NottSeries,
     UnitSeries,
@@ -51,12 +51,9 @@ from .series import (
     _powers,
     _reversion,
     _subst,
-    max_elements,
+    require_within_cap,
     twist,
 )
-
-# DEFAULT_MAX_ELEMENTS, CapExceededError and max_elements are re-exported:
-# the enumeration cap lives in series.py, shared with the index-set layer.
 
 # Packed power tables kept per quotient group; the cache is cleared when it
 # is full.  The pc engine's left factors fill about 500 in verify_lcs_formula
@@ -73,7 +70,7 @@ class SubgroupHandle:
     subgroup.
     """
 
-    __slots__ = ("group", "gens", "order", "name", "_elements", "_member", "_builder", "_sorted")
+    __slots__ = ("group", "gens", "order", "name", "_elements", "_member", "_builder")
 
     def __init__(self, group, gens, order, member, builder, name="subgroup"):
         self.group = group
@@ -83,7 +80,6 @@ class SubgroupHandle:
         self._elements = None
         self._member = member
         self._builder = builder
-        self._sorted = None
 
     def __contains__(self, x):
         return self._member(x)
@@ -91,10 +87,7 @@ class SubgroupHandle:
     def element_set(self):
         """The full element set; raises CapExceededError past the cap."""
         if self._elements is None:
-            if self.order > max_elements():
-                raise CapExceededError(
-                    f"subgroup {self.name} has {self.order} elements, cap is {max_elements()}"
-                )
+            require_within_cap(self.order, f"subgroup {self.name} has {self.order} elements")
             self._elements = frozenset(self._builder())
             if len(self._elements) != self.order:
                 raise RuntimeError(
@@ -102,11 +95,6 @@ class SubgroupHandle:
                     f"expected {self.order}"
                 )
         return self._elements
-
-    def sorted_elements(self):
-        if self._sorted is None:
-            self._sorted = tuple(sorted(self.element_set()))
-        return self._sorted
 
     def __repr__(self):
         return (
@@ -141,15 +129,21 @@ class _PcSequence:
     commutator in a deeper layer than both factors.  A group law with this
     filtration satisfies all three; anything else raises RuntimeError.  The
     first also bounds every sift by the number of slots.
+
+    Each filled slot stores p - 1 inverse powers, and scaling its pivot to 1
+    takes up to p - 2 products, so the work per slot is linear in p.  The
+    (p - 1) * 2(level - 1) inverse powers a sequence may store are counted
+    against the enumeration cap at construction, before any product.
     """
 
     __slots__ = ("group", "_conjugators", "_coord", "_basis", "_inv_pows", "_size")
 
     def __init__(self, group, conjugators=()):
-        # conjugators: (t, t^-1) pairs
-        self.group = group
-        self._conjugators = conjugators
         na = group.na
+        stored = (group.p - 1) * 2 * na
+        require_within_cap(stored, f"a pc sequence may store {stored} inverse powers")
+        self.group = group
+        self._conjugators = conjugators  # (t, t^-1) pairs
         self._coord = tuple(s // 2 + na * (s % 2) for s in range(2 * na))
         self._basis = [None] * (2 * na)
         # per filled slot: (identity, u^-1, ..., u^-(p-1)) for its element u
@@ -401,10 +395,7 @@ class QuotientGroup:
 
     def iter_elements(self):
         """All coordinate tuples in lexicographic order, subject to the cap."""
-        if self.order > max_elements():
-            raise CapExceededError(
-                f"group order {self.order} exceeds the enumeration cap {max_elements()}"
-            )
+        require_within_cap(self.order, f"the quotient has {self.order} elements")
         return itertools.product(range(self.p), repeat=2 * self.na)
 
     def _verify_closed(self, pc, gens):
@@ -615,15 +606,19 @@ class GenerationReport:
     generates: bool
     closure_order: int
     group_order: int
+    generators: int
 
 
 def generation_check(G, candidates):
-    """Whether the candidate elements generate the whole quotient."""
+    """Whether the candidates (Riordan elements or tuples) generate the quotient.
+
+    generators counts the candidates the closure kept; see subgroup().
+    """
     gens = []
     for c in candidates:
         gens.append(G.canonicalize(c) if isinstance(c, RiordanElem) else G.validate_tuple(c))
     handle = G.subgroup(gens)
-    return GenerationReport(handle.order == G.order, handle.order, G.order)
+    return GenerationReport(handle.order == G.order, handle.order, G.order, len(handle.gens))
 
 
 @dataclass(frozen=True)
@@ -649,10 +644,7 @@ def hm_generation_check(p, level, m):
     ring = CoeffRing(p)  # validates primality
     # the candidates are exactly the elements of H^m: an enumeration
     candidates = ring.p ** (level - m)
-    if candidates > max_elements():
-        raise CapExceededError(
-            f"hm-check would build {candidates} twist candidates, cap is {max_elements()}"
-        )
+    require_within_cap(candidates, f"hm-check would build {candidates} twist candidates")
     G = QuotientGroup(p, level)
     h = UnitSeries(ring, (1, 1) + (0,) * (level - 1))
     x_series = NottSeries.identity(ring, level)
@@ -705,8 +697,7 @@ def tower_consistency(G_hi, G_lo, samples=None, seed=0):
         samples = int(samples)
         if samples < 1:
             raise ValueError(f"samples must be >= 1, got {samples}")
-        if samples > max_elements():
-            raise CapExceededError(f"{samples} tower samples exceed the cap {max_elements()}")
+        require_within_cap(samples, f"the tower check would draw {samples} sample pairs")
     na_hi, na_lo = G_hi.na, G_lo.na
 
     def proj(x):
@@ -722,11 +713,9 @@ def tower_consistency(G_hi, G_lo, samples=None, seed=0):
     labels = tuple(range(2 * na_lo))
     surjective = proj(pad(labels)) == labels
     if samples is None:
-        if G_hi.order ** 2 > max_elements():
-            raise CapExceededError(
-                f"exhaustive tower check needs {G_hi.order ** 2} pairs, cap is "
-                f"{max_elements()}; pass samples="
-            )
+        require_within_cap(
+            G_hi.order**2, f"exhaustive tower check needs {G_hi.order ** 2} pairs (pass samples=)"
+        )
         elems = list(G_hi.iter_elements())
         pairs = 0
         for x in elems:

@@ -8,7 +8,8 @@ Operations never mix rings or truncations; move down explicitly with
 
 Values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads.  The module
-also holds the enumeration cap that the quotient and index-set layers share.
+also holds the enumeration cap that the quotient and index-set layers share,
+and require_within_cap, the one place that refuses an enumeration past it.
 """
 
 from __future__ import annotations
@@ -34,18 +35,46 @@ def max_elements():
     return value
 
 
+def require_within_cap(count, what):
+    """Refuse an enumeration of count items above the cap, before it starts.
+
+    what names the enumeration and its size; the cap is appended to it in
+    the CapExceededError message.
+    """
+    cap = max_elements()
+    if count > cap:
+        raise CapExceededError(f"{what}; the cap is {cap}")
+
+
+# Deterministic Miller-Rabin: the first 13 prime bases decide every n below
+# _MR_LIMIT, the least strong pseudoprime to all of them (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n):
+    if n >= _MR_LIMIT:
+        raise ValueError(f"primality is decided only below {_MR_LIMIT}, got {n}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -5,7 +5,7 @@ import subprocess
 import sys
 import time
 
-from riordan import cli
+from riordan import FiltrationSpec, cli, hausdorff_dim, parse_index_set, sigma_filtration_check
 from riordan.cli import main
 
 PASCAL5 = "riordan\nring=Fp:5; trunc=5; coeffs=1,1,1,1,1,1\nring=Fp:5; trunc=5; coeffs=0,1,1,1,1,1\n"
@@ -254,11 +254,14 @@ def test_index_enumerations_past_the_cap_are_refused(capsys, tmp_path):
 
 
 def test_quotient_enumerations_past_the_cap_are_refused(capsys, monkeypatch):
-    # hm-check builds 3^18 twist candidates (the elements of H^2), and the
-    # sampled tower check would draw 10^10 pairs
+    # hm-check builds 3^18 twist candidates (the elements of H^2), the
+    # sampled tower check would draw 10^10 pairs, and a pc sequence over F_p
+    # stores p - 1 inverse powers per slot
     for argv in (
         ("hm-check", "--p", "3", "--level", "20", "--m", "2"),
         ("tower-check", "--p", "3", "--level", "4", "--samples", "10000000000"),
+        ("lcs-verify", "--p", "1000003", "--level", "3", "--depth", "2"),
+        ("lcs-verify", "--p", "1000000000000000003", "--level", "3", "--depth", "2"),
     ):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
@@ -270,6 +273,61 @@ def test_quotient_enumerations_past_the_cap_are_refused(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "tower-check", "--p", "2", "--level", "3")
     assert (code, out) == (2, "")
     assert "256 pairs" in err and "cap" in err
+
+
+def test_series_inverse_over_a_large_prime_is_cheap(capsys, monkeypatch):
+    # primality of the modulus is decided by Miller-Rabin, not trial division
+    literal = "ring=Fp:1000000000000000003; trunc=3; coeffs=1,1,0,0\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(literal))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "series-inv")
+    assert time.perf_counter() - start < 1
+    inverse = "ring=Fp:1000000000000000003; trunc=3; coeffs=1,1000000000000000002,1,1000000000000000002\n"
+    assert (code, out, err) == (0, inverse, "")
+
+
+CEILHALF_TABLE = "# n sigma(n)\n" + "".join(f"{n} {(n + 1) // 2}\n" for n in range(1, 17))
+
+
+def test_table_filtrations(capsys, tmp_path):
+    table = payload(tmp_path, CEILHALF_TABLE, "sigma.txt")
+    spec = FiltrationSpec.from_table_lines(CEILHALF_TABLE.splitlines())
+    I, J = (parse_index_set(line) for line in PAIR_3N_J.splitlines())
+    report = hausdorff_dim(I, J, 3, filtration=spec)
+    want = "n,numerator_count,denominator,estimate\n" + "".join(
+        f"{r.n},{r.numerator},{r.denominator},{float(r.estimate):.10f}\n" for r in report.rows
+    )
+    code, out, err = run_cli(capsys, "hdim", "--p", "3", "--filtration", "table:" + table,
+                             "--in", payload(tmp_path, PAIR_3N_J))
+    assert (code, out, err) == (0, want + "exact=NA\n", "")
+    assert [r.n for r in report.rows] == [2, 4, 8, 16]  # the table's domain caps the grid
+
+    rep = sigma_filtration_check(3, 6, spec.value, 2, 3)
+    code, out, err = run_cli(capsys, "sigma-check", "--p", "3", "--level", "6", "--i", "2", "--j", "3",
+                             "--filtration", "table:" + table)
+    assert (code, err) == (0 if rep.contained else 1, "")
+    assert out == (
+        f"i=2 j=3 commutator_order={rep.commutator_order} target={rep.target_name} "
+        f"target_order={rep.target_order}\ncontained={'true' if rep.contained else 'false'}\n"
+    )
+
+
+def test_bad_filtrations_exit_2(capsys, tmp_path):
+    pair = payload(tmp_path, PAIR_3N_J)
+    bad = {  # --filtration value: what the error names
+        "bogus": "filtration must be",
+        "table:" + payload(tmp_path, "1 1\n2 1 1\n", "three.txt"): "malformed table line",
+        "table:" + payload(tmp_path, "1 1\n2 3\n3 3\n", "superadd.txt"): "subadditive",
+        "table:" + str(tmp_path / "absent.txt"): "absent.txt",
+    }
+    for filtration, named in bad.items():
+        for argv in (
+            ("hdim", "--p", "3", "--filtration", filtration, "--in", pair),
+            ("sigma-check", "--p", "3", "--level", "5", "--i", "1", "--j", "2", "--filtration", filtration),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("error:") and named in err
 
 
 def test_output_is_deterministic(capsys, tmp_path):

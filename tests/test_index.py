@@ -29,7 +29,13 @@ from riordan import (
     w_value,
 )
 from riordan.index_sets import sumset_certification_bound
-from util import W_by_fractions, canonical_form_by_scan, sumset_by_pairs
+from util import (
+    W_by_fractions,
+    admissibility_by_brute,
+    canonical_form_by_scan,
+    density_curve_by_scan,
+    sumset_by_pairs,
+)
 
 N3 = IndexSet.multiples(3)
 NAT = IndexSet.naturals()
@@ -154,7 +160,7 @@ def test_density_pins():
     assert density(IndexSet.from_finite((4, 9))).value == 0
     four_ninths = IndexSet(period=9, residues=(0, 2, 5, 8))
     dv = density(four_ninths)
-    assert dv.exists and dv.ldense == dv.udense == Fr(4, 9)
+    assert dv.exists and dv.lower == dv.upper == Fr(4, 9)
     # density is count_upto asymptotics: compare against a long scan
     n = 9 * 2000
     assert Fr(four_ninths.count_upto(n), n) == Fr(4, 9)
@@ -278,6 +284,34 @@ def test_admissible_fuzz_against_brute_scan():
             assert rep.violation is not None
 
 
+def test_admissible_agrees_with_brute_oracle_past_target_thresholds():
+    # I keeps every integer up to 2*bound and most of a longer exceptional
+    # run, so condition 3 sends partner values below I's threshold (where
+    # holes matter) and past it (where I's residues decide)
+    rng = random.Random(41)
+    bound = 12
+    seen = set()
+    for _ in range(120):
+        p = rng.choice((2, 3, 5))
+        t, m = rng.randrange(2 * bound, 6 * bound), rng.randrange(1, 5)
+        exceptional = [e for e in range(1, t) if e <= 2 * bound or rng.random() < 0.9]
+        I = IndexSet(t, exceptional, m, [r for r in range(m) if rng.random() < 0.5])
+        d, tj = rng.randrange(1, 4), rng.randrange(0, 9)
+        J = IndexSet(tj, [e for e in range(d, tj, d) if rng.random() < 0.8], d, [0])
+        rep = admissible_check(I, J, p, bound=bound)
+        got = None if rep.passed else (rep.violation.condition, rep.violation.index, rep.violation.n)
+        want = admissibility_by_brute(I, J, p, bound)
+        assert got == want, (p, I, J)
+        seen.add(want[0] if want else None)
+    assert seen >= {None, 1, 3}
+    # a hole below the threshold, reached from the first partner class only
+    # past one phase cycle
+    I = IndexSet(59, [e for e in range(1, 59) if e not in (26, 47, 54)], 1, [0])
+    rep = admissible_check(I, NAT, 3, bound=12)
+    assert (rep.violation.condition, rep.violation.index, rep.violation.n) == (3, 1, 1)
+    assert (rep.violation.partner, rep.violation.value) == (25, 26)
+
+
 def test_group_closure_crosscheck():
     rep = group_closure_crosscheck(N3, IndexSet.progression(2, 3), 3)
     assert rep.consistent and rep.escape is None
@@ -370,13 +404,10 @@ def test_density_convergence():
     assert rep.rows[-1].n == 10**4 and rep.rows[-1].count == 3333
     assert rep.within_bound
     assert rep.final_error <= Fr(1, 10**4) * 3 * rep.period
-    scan = density_convergence(3, 2, Fr(1, 9), limit=2000, source="scan")
     fast = density_convergence(3, 2, Fr(1, 9), limit=2000)
-    assert scan.rows == fast.rows
+    assert [(r.n, r.count, r.estimate) for r in fast.rows] == density_curve_by_scan(3, 2, Fr(1, 9), 2000)
     with pytest.raises(ValueError):
         density_convergence(3, 6, Fr(1, 9))
-    with pytest.raises(ValueError):
-        density_convergence(3, 1, Fr(1, 9), source="oops")
 
 
 def test_filtration_specs():

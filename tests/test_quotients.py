@@ -275,7 +275,7 @@ def test_commutator_subgroup_matches_all_pairs_oracle():
     for A, B in cases:
         G = A.group
         derived = commutator_subgroup(A, B)
-        seeds = {G.comm(a, b) for a in A.sorted_elements() for b in B.sorted_elements()}
+        seeds = {G.comm(a, b) for a in sorted(A.element_set()) for b in sorted(B.element_set())}
         # oracle: BFS over plain set products, no generator shortcuts
         closure = set(seeds) | {G.identity}
         frontier = list(closure)
@@ -318,7 +318,7 @@ def test_lcs_pins_and_formula():
     rng = random.Random(23)
     for hi, lo in zip(chain, chain[1:]):
         assert lo.element_set() <= hi.element_set()
-        for t in lo.sorted_elements()[:5]:
+        for t in sorted(lo.element_set())[:5]:
             g = tuple(rng.randrange(3) for _ in range(6))
             assert G.conj(t, g) in lo
     rows = verify_lcs_formula(G, 4)
@@ -409,6 +409,42 @@ def test_tower_consistency():
         tower_consistency(QuotientGroup(3, 3), QuotientGroup(2, 2))
 
 
+def test_tower_consistency_reports_a_corrupted_product(monkeypatch):
+    law = QuotientGroup.mul
+    hi2, lo2 = QuotientGroup(2, 3), QuotientGroup(2, 2)
+    hi3, lo3 = QuotientGroup(3, 4), QuotientGroup(3, 3)
+    elems = list(hi2.iter_elements())
+    rng = random.Random(7)
+    draws = [quotients._tuple_at(rng.randrange(hi3.order), 3, 2 * hi3.na) for _ in range(8)]
+    # the sixth exhaustive pair, and the fourth sampled pair at seed 7
+    bad = {(hi2, elems[0], elems[5]), (hi3, draws[6], draws[7])}
+
+    def corrupted(self, x, y):
+        out = law(self, x, y)
+        if (self, x, y) in bad:
+            return ((out[0] + 1) % self.p,) + out[1:]  # moves the projected a_1
+        return out
+
+    monkeypatch.setattr(QuotientGroup, "mul", corrupted)
+    rep = tower_consistency(hi2, lo2)
+    assert (rep.passed, rep.pairs_checked, rep.mode, rep.surjective) == (False, 5, "exhaustive", True)
+    rep = tower_consistency(hi3, lo3, samples=50, seed=7)
+    assert (rep.passed, rep.pairs_checked, rep.mode, rep.surjective) == (False, 4, "sampled", True)
+
+
+def test_generation_report_counts_kept_generators():
+    G4 = QuotientGroup(3, 4)
+    one_plus_x = elem(3, 4, (1, 1, 0, 0, 0), (0, 1, 0, 0, 0))
+    nott = [elem(3, 4, (1, 0, 0, 0, 0), (0, 1, 1, 0, 0)), elem(3, 4, (1, 0, 0, 0, 0), (0, 1, 0, 1, 0))]
+    # a repeated candidate, and a power of an earlier one, are not kept
+    square = rmul(one_plus_x, one_plus_x)
+    cases = [([one_plus_x], 1), ([one_plus_x, one_plus_x, square], 1), ([one_plus_x] + nott, 3)]
+    for candidates, kept in cases:
+        rep = generation_check(G4, candidates)
+        assert rep.generators == kept
+        assert rep.generators == len(G4.subgroup([G4.canonicalize(c) for c in candidates]).gens)
+
+
 def test_sigma_filtration_check():
     for i, j in ((1, 1), (1, 2), (2, 1)):
         rep = sigma_filtration_check(3, 4, lambda n: n, i, j)
@@ -431,5 +467,4 @@ def test_subgroup_handles_report_membership():
     sub = G.standard_subgroup(2, 2)
     assert G.identity in sub
     assert (1, 0, 0, 0) not in sub
-    assert sub.sorted_elements() == tuple(sorted(sub.element_set()))
     assert sub.group is G

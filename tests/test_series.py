@@ -20,7 +20,7 @@ from riordan import (
     poly_str,
     twist,
 )
-from riordan.series import _powers, _reversion, _subst
+from riordan.series import _MR_LIMIT, _is_prime, _powers, _reversion, _subst
 from util import horner_compose, rand_nott, rand_series, rand_unit, reversion_by_degree
 
 F2 = CoeffRing(2)
@@ -50,6 +50,26 @@ def test_ring_construction():
     assert not ZZ.is_field
     assert CoeffRing(5).reduce(-3) == 2
     assert ZZ.reduce(-3) == -3
+
+
+def test_primality_matches_sympy():
+    isprime = pytest.importorskip("sympy").isprime
+    for n in range(20001):
+        assert _is_prime(n) == isprime(n), n
+    rng = random.Random(83)
+    near = [10**20 + rng.randrange(-10**6, 10**6) for _ in range(2000)]
+    for n in near + [1000003, 1000000000000000003]:
+        assert _is_prime(n) == isprime(n), n
+    assert any(_is_prime(n) for n in near)
+    # strong pseudoprimes to the bases 2..7 and to 2..23
+    for n in (3215031751, 3825123056546413051):
+        assert not isprime(n) and not _is_prime(n)
+
+
+def test_primality_refuses_past_the_miller_rabin_limit():
+    for n in (_MR_LIMIT, _MR_LIMIT + 1, 10**30):
+        with pytest.raises(ValueError, match=str(_MR_LIMIT)):
+            CoeffRing(n)
 
 
 def test_series_construction_reduces_canonically():

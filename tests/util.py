@@ -3,7 +3,15 @@
 from collections import deque
 from fractions import Fraction
 
-from riordan import CapExceededError, NottSeries, RiordanElem, TruncSeries, UnitSeries, max_elements
+from riordan import (
+    CapExceededError,
+    NottSeries,
+    RiordanElem,
+    TruncSeries,
+    UnitSeries,
+    binom_mod_p,
+    max_elements,
+)
 from riordan.series import _mul_coeffs, _powers
 
 
@@ -222,3 +230,52 @@ def W_by_fractions(m, p):
         out += d * scale
         scale /= p
     return out
+
+
+def density_curve_by_scan(p, s, xi, limit):
+    """(n, count, count/n) at n = 2, 4, 8, ... and limit, counting j <= n in s*N
+    with j = -1 mod p and w(j) = W(j+1) < xi, each weight summed in Fractions."""
+    rows, count, n = [], 0, 2
+    for j in range(1, limit + 1):
+        if j % s == 0 and j % p == p - 1 and W_by_fractions(j + 1, p) < xi:
+            count += 1
+        if j == n or j == limit:
+            rows.append((j, count, Fraction(count, j)))
+            n *= 2
+    return rows
+
+
+def admissibility_by_brute(I, J, p, bound):
+    """(condition, index, n) of the first violation, in admissible_check's order, or None.
+
+    (1) j + n*w in J for j in J up to bound, C(j+1, n) nonzero mod p, w in J;
+    (2) i + i2 in I for members i <= i2 <= bound (n is None);
+    (3) i + n*w in I for i in I up to bound, C(i, n) nonzero mod p, w in J.
+    Every partner w in J below max(J.threshold, target.threshold) + M, with
+    M = J.period * target.period, is tried as it is.  That reach is exact:
+    values below the target threshold come from w below it, and past both
+    thresholds w and w + M are members together and give values in one
+    class mod the target period.
+    """
+
+    def scan(target, shift):
+        # indices b from target, binomial on b + shift, partners from J
+        reach = max(J.threshold, target.threshold) + J.period * target.period
+        partners = [w for w in range(1, reach) if w in J]
+        for b in range(1, bound + 1):
+            if b not in target:
+                continue
+            a = b + shift
+            for n in range(1, a + 1):
+                if binom_mod_p(a, n, p) and any(b + n * w not in target for w in partners):
+                    return b, n
+        return None
+
+    bad = scan(J, 1)
+    if bad is not None:
+        return (1,) + bad
+    closed, witness = sumset_by_pairs(I, bound)
+    if not closed:
+        return 2, witness[0], None
+    bad = scan(I, 0)
+    return None if bad is None else (3,) + bad
