@@ -19,13 +19,13 @@ commutator subgroups via normal closure of generator commutators, the lower
 central series and its closed form, width, generation checks, twist
 generation of H^m, the projection tower, and sigma-filtration containments.
 Subgroup orders, memberships and equalities cost polynomial work in the
-level and linear work in p; only an explicit element_set() enumerates.
-Every enumeration, and the inverse-power tables of a polycyclic sequence,
-is counted against the enumeration cap by series.require_within_cap
-before it starts.  The whole quotient is the closure of its coordinate
-generators, which keeps three of them (four at p = 2 from level 7 on),
-and every product in the engine takes its left factor from the basis, its
-inverse powers and the conjugators, so the power cache hits.
+level and in log p; only an explicit element_set() enumerates, and every
+enumeration is counted against the enumeration cap by
+series.require_within_cap before it starts.  The whole quotient is the
+closure of its coordinate generators, which keeps three of them (four at
+p = 2 from level 7 on), and every product in the engine takes its left
+factor from a small fixed set (the basis, the stored squares of its
+inverses, the conjugators), so the power cache hits.
 
 Everything returned is immutable; closure work touches no shared mutable
 state beyond a per-group cache of packed substitution powers, bounded by
@@ -111,43 +111,36 @@ class _PcSequence:
     [G_i, G_j] lies in G_{i+j}.  Slot 2(k-1) is pivot a_k and slot 2k-1 is
     pivot b_{k+1}; an element leads at its first nonzero slot, and the
     identity leads past the last one.  The sequence keeps at most one basis
-    element per slot, led by that slot with coefficient 1, and its inverse
-    powers.  Sifting left-multiplies by those powers to clear the leading
-    coordinate until the element is the identity or leads at an empty slot;
-    each layer is central modulo the next, so u^-e x clears the same pivot
-    as x u^-e.  Closure puts each new basis element's p-th power and its
-    commutators with the earlier basis elements (and its conjugates by
-    `conjugators`) on the queue.  The normal-form words in the basis are
-    then the subgroup, of order p^(number of basis elements); see Holt, Eick
-    and O'Brien, Handbook of Computational Group Theory (2005), ch. 8.
-    Every product takes its left factor from the basis, its inverse powers,
-    the element being scaled and the conjugators, so the group's power
-    cache, keyed by the left factor, hits.
+    element per slot, led by that slot with coefficient 1, and the powers
+    u^-(2^k) of its inverse up to the top bit of p, from which _power builds
+    any power by square-and-multiply.  Sifting left-multiplies by those
+    powers to clear the leading coordinate until the element is the
+    identity or leads at an empty slot; each layer is central modulo the
+    next, so u^-e x clears the same pivot as x u^-e.  Closure puts each new
+    basis element's p-th power and its commutators with the earlier basis
+    elements (and its conjugates by `conjugators`) on the queue.  The
+    normal-form words in the basis are then the subgroup, of order
+    p^(number of basis elements); see Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory (2005), ch. 8.  Every product takes its left
+    factor from the basis, the stored powers, the squares of the element
+    being scaled and the conjugators, so the group's power cache, keyed by
+    the left factor, hits.
 
     Certificate: every sift step must clear its pivot and leave no earlier
     slot nonzero, every u^p must lie in a deeper layer than u, and every
     commutator in a deeper layer than both factors.  A group law with this
     filtration satisfies all three; anything else raises RuntimeError.  The
     first also bounds every sift by the number of slots.
-
-    Each filled slot stores p - 1 inverse powers, and scaling its pivot to 1
-    takes up to p - 2 products, so the work per slot is linear in p.  The
-    (p - 1) * 2(level - 1) inverse powers a sequence may store are counted
-    against the enumeration cap at construction, before any product.
     """
 
-    __slots__ = ("group", "_conjugators", "_coord", "_basis", "_inv_pows", "_size")
+    __slots__ = ("group", "_conjugators", "_basis", "_inv_sq", "_size")
 
     def __init__(self, group, conjugators=()):
-        na = group.na
-        stored = (group.p - 1) * 2 * na
-        require_within_cap(stored, f"a pc sequence may store {stored} inverse powers")
         self.group = group
         self._conjugators = conjugators  # (t, t^-1) pairs
-        self._coord = tuple(s // 2 + na * (s % 2) for s in range(2 * na))
-        self._basis = [None] * (2 * na)
-        # per filled slot: (identity, u^-1, ..., u^-(p-1)) for its element u
-        self._inv_pows = [None] * (2 * na)
+        self._basis = [None] * (2 * group.na)
+        # per filled slot: (u^-1, u^-2, u^-4, ...) up to the top bit of p
+        self._inv_sq = [None] * (2 * group.na)
         self._size = 0
 
     @property
@@ -158,6 +151,21 @@ class _PcSequence:
     def basis(self):
         """The basis elements in slot order."""
         return [u for u in self._basis if u is not None]
+
+    def _squares(self, z, e):
+        # z, z^2, z^4, ... up to the top bit of e
+        sq = [z]
+        for _ in range(e.bit_length() - 1):
+            sq.append(self.group.mul(sq[-1], sq[-1]))
+        return sq
+
+    def _power(self, sq, e, x=None):
+        # z^e x from sq[k] = z^(2^k), each product's left factor from sq;
+        # z^e itself when x is None (then e >= 1)
+        for k, z in enumerate(sq):
+            if e >> k & 1:
+                x = z if x is None else self.group.mul(z, x)
+        return x
 
     def _lead(self, x):
         na = self.group.na
@@ -170,10 +178,10 @@ class _PcSequence:
 
     def sift(self, x):
         """Inverse basis powers times x: the identity exactly when x is a member."""
-        mul, coord, inv_pows = self.group.mul, self._coord, self._inv_pows
+        coord, inv_sq = self.group.pc_coords, self._inv_sq
         s = self._lead(x)
-        while s < len(coord) and inv_pows[s] is not None:
-            y = mul(inv_pows[s][x[coord[s]]], x)
+        while s < len(coord) and inv_sq[s] is not None:
+            y = self._power(inv_sq[s], x[coord[s]], x)
             t = self._lead(y)
             if t <= s:
                 raise RuntimeError(
@@ -197,8 +205,8 @@ class _PcSequence:
     def add(self, x):
         """Close the sequence under x; returns whether x was not yet a member."""
         G = self.group
-        p, mul, coord = G.p, G.mul, self._coord
-        basis, inv_pows = self._basis, self._inv_pows
+        p, mul, coord = G.p, G.mul, G.pc_coords
+        basis, inv_sq = self._basis, self._inv_sq
         size = self._size
         queue = deque([x])
         while queue:
@@ -206,46 +214,43 @@ class _PcSequence:
             s = self._lead(r)
             if s == len(coord):
                 continue
-            u = r  # scale the pivot to 1: u = r^e with e * r_pivot = 1 mod p
-            for _ in range(pow(r[coord[s]], -1, p) - 1):
-                u = mul(r, u)
+            e = pow(r[coord[s]], -1, p)  # scale the pivot to 1: u = r^e
+            u = self._power(self._squares(r, e), e)
             if self._lead(u) != s or u[coord[s]] != 1:
                 raise RuntimeError(
                     f"pc certificate failed: a power of {r} does not lead at slot {s} "
                     f"at p={p}, level={G.level}"
                 )
-            ui = G.inv(u)
-            pw = [G.identity, ui]
-            for _ in range(p - 1):
-                pw.append(mul(ui, pw[-1]))
-            power = pw.pop()  # u^-p lies in the subgroup exactly when u^p does
+            sq = self._squares(G.inv(u), p)
+            power = self._power(sq, p)  # u^-p lies in the subgroup exactly when u^p does
             self._check_below(power, s, "the p-th power")
             queue.append(power)
             for t, v in enumerate(basis):
                 if v is not None:
-                    c = mul(inv_pows[t][1], mul(ui, mul(v, u)))  # [v, u]
+                    c = mul(inv_sq[t][0], mul(sq[0], mul(v, u)))  # [v, u]
                     self._check_below(c, max(s, t), "the commutator")
                     queue.append(c)
             for t, ti in self._conjugators:
                 queue.append(mul(ti, mul(u, t)))
-            basis[s], inv_pows[s] = u, tuple(pw)
+            basis[s], inv_sq[s] = u, tuple(sq)
             self._size += 1
         return self._size > size
 
     def elements(self):
         """Every normal-form word u_1^-e_1 ... u_m^-e_m, 0 <= e_i < p."""
-        mul = self.group.mul
-        words = [self.group.identity]
-        for pw in reversed(self._inv_pows):
-            if pw is not None:
-                words = words + [mul(y, w) for y in pw[1:] for w in words]
+        p, words = self.group.p, [self.group.identity]
+        for sq in reversed(self._inv_sq):
+            if sq is not None:
+                words = words + [self._power(sq, e, w) for e in range(1, p) for w in words]
         return words
 
 
 class QuotientGroup:
     """The quotient of the Riordan group over F_p at a given level n >= 2."""
 
-    __slots__ = ("p", "level", "na", "order", "identity", "_w", "_pow_cache", "_full")
+    __slots__ = (
+        "p", "level", "na", "order", "identity", "pc_coords", "_w", "_pow_cache", "_full"
+    )
 
     def __init__(self, p, level):
         ring = CoeffRing(p)  # validates primality
@@ -257,6 +262,8 @@ class QuotientGroup:
         self.na = level - 1
         self.order = p ** (2 * (level - 1))
         self.identity = (0,) * (2 * (level - 1))
+        # the coordinate of each pc slot: a_1, b_2, a_2, b_3, ...
+        self.pc_coords = tuple(s // 2 + self.na * (s % 2) for s in range(2 * self.na))
         self._w = (level * level * self.p**3).bit_length()  # packed slot width, see mul
         self._pow_cache = {}
         self._full = None
@@ -466,9 +473,9 @@ class QuotientGroup:
         at p = 2 from level 7 on.  The pc order certifies the set.
         """
         if self._full is None:
-            na = self.na
-            slots = [s // 2 + na * (s % 2) for s in range(2 * na)]
-            handle = self.subgroup([tuple(int(i == c) for i in range(2 * na)) for c in slots])
+            width = 2 * self.na
+            units = [tuple(int(i == c) for i in range(width)) for c in self.pc_coords]
+            handle = self.subgroup(units)
             if handle.order != self.order:
                 raise RuntimeError(
                     f"the coordinate generators close to order {handle.order}, not "
@@ -720,9 +727,9 @@ def tower_consistency(G_hi, G_lo, samples=None, seed=0):
         pairs = 0
         for x in elems:
             for y in elems:
+                pairs += 1
                 if proj(G_hi.mul(x, y)) != G_lo.mul(proj(x), proj(y)):
                     return TowerReport(False, pairs, "exhaustive", surjective)
-                pairs += 1
         return TowerReport(surjective, pairs, "exhaustive", surjective)
     rng = random.Random(seed)
     p, order, width = G_hi.p, G_hi.order, 2 * na_hi

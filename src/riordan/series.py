@@ -265,9 +265,6 @@ class TruncSeries:
             return UnitSeries(self.ring, cs)
         return TruncSeries(self.ring, cs)
 
-    def is_zero(self):
-        return not any(self.coeffs)
-
     def __eq__(self, other):
         return (
             isinstance(other, TruncSeries)

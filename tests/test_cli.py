@@ -254,14 +254,11 @@ def test_index_enumerations_past_the_cap_are_refused(capsys, tmp_path):
 
 
 def test_quotient_enumerations_past_the_cap_are_refused(capsys, monkeypatch):
-    # hm-check builds 3^18 twist candidates (the elements of H^2), the
-    # sampled tower check would draw 10^10 pairs, and a pc sequence over F_p
-    # stores p - 1 inverse powers per slot
+    # hm-check builds 3^18 twist candidates (the elements of H^2), and the
+    # sampled tower check would draw 10^10 pairs
     for argv in (
         ("hm-check", "--p", "3", "--level", "20", "--m", "2"),
         ("tower-check", "--p", "3", "--level", "4", "--samples", "10000000000"),
-        ("lcs-verify", "--p", "1000003", "--level", "3", "--depth", "2"),
-        ("lcs-verify", "--p", "1000000000000000003", "--level", "3", "--depth", "2"),
     ):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
@@ -273,6 +270,15 @@ def test_quotient_enumerations_past_the_cap_are_refused(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "tower-check", "--p", "2", "--level", "3")
     assert (code, out) == (2, "")
     assert "256 pairs" in err and "cap" in err
+
+
+def test_lcs_verify_over_a_large_prime_is_cheap(capsys):
+    # a pc slot takes its powers by square-and-multiply: O(log p) products
+    for p in ("1000003", "1000000000000000003"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "lcs-verify", "--p", p, "--level", "3", "--depth", "2")
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (0, f"i=2 tau=2 brute_order={p} formula_order={p} PASS\n", "")
 
 
 def test_series_inverse_over_a_large_prime_is_cheap(capsys, monkeypatch):

@@ -134,6 +134,19 @@ def test_full_group_keeps_three_generators():
                 assert kept == 3, (p, level)
 
 
+def test_full_group_over_a_large_prime_takes_few_products(monkeypatch):
+    # square-and-multiply: each pc slot costs O(log p) products, not O(p)
+    G, law, calls = QuotientGroup(65537, 3), QuotientGroup.mul, []
+
+    def counting(self, x, y):
+        calls.append(None)
+        return law(self, x, y)
+
+    monkeypatch.setattr(QuotientGroup, "mul", counting)
+    assert G.full_group().order == 65537**4
+    assert len(calls) < 1000
+
+
 def test_power_cache_stays_bounded(monkeypatch):
     hi, lo = QuotientGroup(3, 12), QuotientGroup(3, 11)
     packed = QuotientGroup._packed_powers
@@ -427,7 +440,7 @@ def test_tower_consistency_reports_a_corrupted_product(monkeypatch):
 
     monkeypatch.setattr(QuotientGroup, "mul", corrupted)
     rep = tower_consistency(hi2, lo2)
-    assert (rep.passed, rep.pairs_checked, rep.mode, rep.surjective) == (False, 5, "exhaustive", True)
+    assert (rep.passed, rep.pairs_checked, rep.mode, rep.surjective) == (False, 6, "exhaustive", True)
     rep = tower_consistency(hi3, lo3, samples=50, seed=7)
     assert (rep.passed, rep.pairs_checked, rep.mode, rep.surjective) == (False, 4, "sampled", True)
 

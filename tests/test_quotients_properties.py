@@ -8,7 +8,7 @@ st = hypothesis.strategies
 from riordan import QuotientGroup, commutator_subgroup  # noqa: E402
 from util import closure_by_bfs, mul_by_loops  # noqa: E402
 
-GROUPS = {(p, level): QuotientGroup(p, level) for p, level in ((2, 4), (3, 4), (5, 3), (3, 5))}
+GROUPS = {(p, level): QuotientGroup(p, level) for p, level in ((2, 4), (3, 4), (5, 3), (7, 3), (3, 5))}
 LAWS = {
     (p, level): QuotientGroup(p, level)
     for p, level in ((2, 9), (3, 5), (7, 4), (5, 26), (3, 45), (2147483647, 3), (2147483647, 4))
