@@ -18,11 +18,11 @@ All values are immutable; every function is deterministic.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 
 from .group import RiordanElem, rinv, rmul
@@ -85,11 +85,11 @@ class IndexSet:
             raise ValueError("threshold must be >= 0")
         if m < 1:
             raise ValueError("period must be >= 1")
-        res = frozenset(int(r) for r in residues)
-        if any(r < 0 or r >= m for r in res):
+        res = frozenset(map(int, residues))
+        if res and (min(res) < 0 or max(res) >= m):
             raise ValueError("residues must lie in [0, period)")
-        exc = set(int(e) for e in exceptional)
-        if any(e < 1 or e >= t for e in exc):
+        exc = set(map(int, exceptional))
+        if exc and (min(exc) < 1 or max(exc) >= t):
             raise ValueError("exceptional members must lie in [1, threshold)")
 
         # minimal period: the shifts fixing res form a subgroup d0*Z/m, and
@@ -236,7 +236,24 @@ class IndexSet:
 
     # -- boolean algebra ---------------------------------------------------
 
-    def _combine(self, other, keep):
+    def _members_below(self, t):
+        """The members in [1, t), for t >= threshold."""
+        out = set(self.exceptional)
+        lo = max(self.threshold, 1)
+        for r in self.residues:
+            out.update(range(self.first_in_class(r, lo), t, self.period))
+        return out
+
+    def _residues_mod(self, m):
+        """The residues lifted to a multiple m of the period."""
+        out = set()
+        for r in self.residues:
+            out.update(range(r, m, self.period))
+        return out
+
+    def _combine(self, other, op):
+        # op is one set operator, applied to the residues lifted to the
+        # common period and to the members below the common threshold
         if not isinstance(other, IndexSet):
             raise TypeError("expected an IndexSet")
         m = lcm(self.period, other.period)
@@ -245,22 +262,18 @@ class IndexSet:
             max(m, t),
             f"combining index sets needs lcm(periods)={m} residues and a threshold of {t}",
         )
-        res = {
-            x
-            for x in range(m)
-            if keep((x % self.period) in self.residues, (x % other.period) in other.residues)
-        }
-        exc = {n for n in range(1, t) if keep(n in self, n in other)}
+        res = op(self._residues_mod(m), other._residues_mod(m))
+        exc = op(self._members_below(t), other._members_below(t))
         return IndexSet(t, exc, m, res)
 
     def union(self, other):
-        return self._combine(other, lambda a, b: a or b)
+        return self._combine(other, operator.or_)
 
     def intersect(self, other):
-        return self._combine(other, lambda a, b: a and b)
+        return self._combine(other, operator.and_)
 
     def difference(self, other):
-        return self._combine(other, lambda a, b: a and not b)
+        return self._combine(other, operator.sub)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -302,7 +315,7 @@ def parse_index_set(line):
     def int_list(raw):
         if not raw:
             return ()
-        return tuple(int(tok) for tok in raw.split(","))
+        return tuple(map(int, raw.split(",")))
 
     return IndexSet(
         threshold=int(fields["T"]),
@@ -395,26 +408,56 @@ def binom_mod_p(a, b, p):
     return out
 
 
-@lru_cache(maxsize=None)
 def _dominated_ns(a, p):
     """All n in [1, a] with C(a, n) nonzero mod p, ascending.
 
     By Lucas these are exactly the n whose base-p digits are dominated by
-    the digits of a, so they are enumerated by digit products.
+    the digits of a, so they are enumerated by digit products, top digit
+    first, which is ascending order.
     """
     digits = []
-    x = a
-    while x:
-        x, d = divmod(x, p)
+    while a:
+        a, d = divmod(a, p)
         digits.append(d)
     out = []
-    for combo in itertools.product(*(range(d + 1) for d in digits)):
+    for combo in itertools.product(*(range(d + 1) for d in reversed(digits))):
         n = 0
-        for pos, e in enumerate(combo):
-            n += e * p**pos
-        if n:
-            out.append(n)
-    return tuple(sorted(out))
+        for e in combo:
+            n = n * p + e
+        out.append(n)
+    return tuple(out[1:])
+
+
+class _DominatedClasses:
+    """{n mod m : n in _dominated_ns(a, p)}, for one a after another.
+
+    The set is built Horner-style over the base-p digits of a, top first:
+    after each digit d it holds the classes of the nonzero numbers whose
+    digits so far are dominated, {s*p + e} for e in 0..d, plus 1..d after
+    an all-zero prefix.  The set after each top digit is kept, so a call
+    recomputes only the digits below the top digits a shares with the
+    previous a: for ascending a, usually the last one or two.
+    """
+
+    def __init__(self, p, m):
+        self.p, self.m = p, m
+        self.a, self.sets = 0, []
+
+    def __call__(self, a):
+        p, m = self.p, self.m
+        low, prev = [], self.a
+        self.a = a
+        while a != prev:
+            a, d = divmod(a, p)
+            prev //= p
+            low.append(d)
+        del self.sets[max(len(self.sets) - len(low), 0):]
+        cur = self.sets[-1] if self.sets else set()
+        for d in reversed(low):
+            cur = {(s * p + e) % m for s in cur for e in range(d + 1)}
+            cur.update(e % m for e in range(1, d + 1))
+            self.sets.append(cur)
+        return cur
 
 
 @dataclass(frozen=True)
@@ -518,6 +561,17 @@ def admissible_check(I, J, p, bound=1000):
     first violation wins; every witness re-verifies independently.  The
     sumset step reads membership up to 2*bound, so a 2*bound above the
     enumeration cap raises CapExceededError before any scan.
+
+    When J and the target (J for (1), I for (3)) both have threshold 0,
+    whether base b and n pass depends only on b and n mod the target
+    period mt.  The scan then takes, for each base, the set of classes
+    n mod mt of its Lucas-dominated n (built from the base-p digits of
+    b+1 or b, see _DominatedClasses) and checks only the classes that b's
+    class has not passed yet, so a base costs O(mt) rather than one check
+    per dominated n.  Only a failing class sends the scan through the
+    dominated n of that base in ascending order, to name the same least
+    witness as a walk over every n.  Other pairs take that walk for every
+    base.
     """
     CoeffRing(p)
     bound = int(bound)
@@ -527,27 +581,42 @@ def admissible_check(I, J, p, bound=1000):
         2 * bound, f"the admissibility scan reads membership up to 2*bound={2 * bound}"
     )
 
+    def walk(b, a, target, cond, passed=None):
+        # the least dominated n of a whose check fails; passed holds the
+        # classes n mod mt already known to pass for b's class
+        mt = target.period
+        for n in _dominated_ns(a, p):
+            if passed is not None and n % mt in passed:
+                continue
+            bad = _shift_check(b, n, J, target)
+            if bad is not None:
+                return Violation(cond, b, n, *bad)
+        return None
+
     def scan(base_set, cond):
         # cond 1: partner J, target J, binomial on base+1
         # cond 3: partner J, target I, binomial on base
         target = J if cond == 1 else I
-        pure = J.threshold == 0 and target.threshold == 0
-        cache = {}
-        mt = target.period
-        for b in _members_upto(base_set, bound):
-            a = b + 1 if cond == 1 else b
-            for n in _dominated_ns(a, p):
-                if pure:
-                    key = (b % mt, n % mt)
-                    hit = cache.get(key)
-                    if hit is False:
-                        continue
-                bad = _shift_check(b, n, J, target)
-                if pure:
-                    cache[key] = bad is not None
+        shift = 1 if cond == 1 else 0
+        if J.threshold or target.threshold:
+            for b in _members_upto(base_set, bound):
+                bad = walk(b, b + shift, target, cond)
                 if bad is not None:
-                    w, v = bad
-                    return Violation(cond, b, n, w, v)
+                    return bad
+            return None
+        # threshold 0 on both sides: a class c in [0, mt) stands in for
+        # every n = c mod mt (see the docstring)
+        mt = target.period
+        classes_of = _DominatedClasses(p, mt)
+        passed = {}
+        for b in _members_upto(base_set, bound):
+            done = passed.setdefault(b % mt, set())
+            if len(done) == mt:
+                continue
+            for c in classes_of(b + shift) - done:
+                if _shift_check(b, c, J, target) is not None:
+                    return walk(b, b + shift, target, cond, done)
+                done.add(c)
         return None
 
     bad = scan(J, 1)

@@ -163,6 +163,15 @@ def test_admissible_exit_codes(capsys, tmp_path):
     assert out == "verdict=violation bound=1000 condition=3 index=2 n=1 partner=1 value=3\n"
 
 
+def test_admissible_reaches_bound_100000(capsys, tmp_path):
+    # the scan decides each base from the classes of its dominated n, so it
+    # no longer visits bound^1.63 (base, n) pairs
+    code, out, err = run_cli(capsys, "admissible", "--p", "3", "--bound", "100000",
+                             "--in", payload(tmp_path, PAIR_3N_J))
+    assert (code, err) == (0, "")
+    assert out == "verdict=pass-up-to-bound bound=100000 condition2_certified=true\n"
+
+
 def test_density_reads_stdin(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("T=0; except=; period=9; residues=0,2,5,8\n"))
     code, out, _ = run_cli(capsys, "density")

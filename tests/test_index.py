@@ -32,7 +32,9 @@ from riordan.index_sets import sumset_certification_bound
 from util import (
     W_by_fractions,
     admissibility_by_brute,
+    admissible_check_by_walk,
     canonical_form_by_scan,
+    combine_by_scan,
     density_curve_by_scan,
     sumset_by_pairs,
 )
@@ -282,6 +284,80 @@ def test_admissible_fuzz_against_brute_scan():
                 assert math.comb(v.index, v.n) % 3 != 0
         if brute_violation(I, J, 3, 12) is not None:
             assert rep.violation is not None
+
+
+SPECTRUM_PARAMS = {
+    "interval-point": lambda p: [{"xi": Fr(k, p**2)} for k in (0, 1, p - 1, p)],
+    "p-power": lambda p: [{"r": r} for r in (1, 2, 3)],
+    "half-plus": lambda p: [{"r": r} for r in (1, 2, 3)],
+    "band": lambda p: [{"s": s, "xi": Fr(k, p**3)} for s in (1, p - 1) for k in (1, p + 2)],
+    "lattice": lambda p: [{"s": s, "r": r, "u": u} for s in (1, 2) for r, u in ((1, 1), (2, 3))],
+}
+
+
+def test_class_scan_matches_the_per_n_walk_on_spectrum_families():
+    for p in (3, 5, 7):
+        for family, params in SPECTRUM_PARAMS.items():
+            for par in params(p):
+                sp = spectrum_sample(p, family, par)
+                rep = admissible_check(sp.I, sp.J, p, bound=400)
+                assert rep.passed
+                assert rep == admissible_check_by_walk(sp.I, sp.J, p, bound=400), (p, family, par)
+
+
+def test_class_scan_names_the_walks_violations():
+    # condition 1 and condition 3 witnesses; the last two fail only after
+    # dozens of passing bases
+    late5 = (0, 4, 24, 29, 34, 40, 44, 45, 49, 50, 54, 55, 59, 69, 79, 85, 95, 99, 100, 104, 115, 124)
+    late7 = (48, 49, 62, 63, 69, 77, 83, 90, 91, 97, 98, 105, 112, 126, 139, 140, 146, 154, 160,
+             167, 174, 175, 196, 203, 223, 230, 231, 238, 245, 251, 259, 266, 279, 280, 300, 307,
+             308, 328, 335, 336)
+    pairs = [
+        (IndexSet.multiples(2), IndexSet.progression(2, 4), 3, (1, 2, 3, 2, 8)),
+        (IndexSet.multiples(2), NAT, 3, (3, 2, 1, 1, 3)),
+        (IndexSet.multiples(4), IndexSet(period=8, residues=(1, 4, 7)), 2, (1, 1, 2, 1, 3)),
+        (N3, IndexSet(period=125, residues=late5), 5, (1, 29, 5, 34, 199)),
+        (IndexSet.multiples(7), IndexSet(period=343, residues=late7), 7, (1, 48, 49, 48, 2400)),
+    ]
+    for I, J, p, want in pairs:
+        rep = admissible_check(I, J, p, bound=500)
+        assert rep == admissible_check_by_walk(I, J, p, bound=500), (I, J, p)
+        v = rep.violation
+        assert (v.condition, v.index, v.n, v.partner, v.value) == want
+
+
+def _structured_index_set(rng, p, thresholded):
+    # classes of q*N, often with p-power q and the class pN-1, so that some
+    # pairs pass and failures come late
+    q = rng.choice((1, 2, 3, p, p * p, 2 * p))
+    m = q * rng.choice((1, 1, p, 2))
+    res = {r for r in range(0, m, q) if rng.random() < 0.6}
+    res |= {r for r in range(p - 1, m, p) if rng.random() < 0.5}
+    t = rng.randrange(0, 12) if thresholded else 0
+    exc = {e for e in range(1, t) if rng.random() < 0.5}
+    return IndexSet(t, exc, m, res)
+
+
+def test_class_scan_matches_the_per_n_walk_on_seeded_pairs():
+    rng = random.Random(1010)
+    verdicts = set()
+    for k in range(240):
+        p = (2, 3, 5, 7)[k % 4]
+        thresholded = k % 3 == 0
+        I = _structured_index_set(rng, p, thresholded)
+        J = _structured_index_set(rng, p, thresholded and rng.random() < 0.5)
+        rep = admissible_check(I, J, p, bound=150)
+        assert rep == admissible_check_by_walk(I, J, p, bound=150), (p, I, J)
+        verdicts.add(rep.violation.condition if rep.violation else None)
+    assert verdicts == {None, 1, 2, 3}
+
+
+def test_set_algebra_matches_the_per_integer_scan():
+    rng = random.Random(77)
+    for _ in range(300):
+        a, b = rand_index_set(rng), rand_index_set(rng)
+        for op in ("union", "intersect", "difference"):
+            assert getattr(a, op)(b) == combine_by_scan(a, b, op), (a, b, op)
 
 
 def test_admissible_agrees_with_brute_oracle_past_target_thresholds():

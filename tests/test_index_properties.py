@@ -5,8 +5,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from riordan import IndexSet, format_index_set, parse_index_set  # noqa: E402
-from util import canonical_form_by_scan  # noqa: E402
+from riordan import IndexSet, admissible_check, format_index_set, parse_index_set  # noqa: E402
+from util import admissible_check_by_walk, canonical_form_by_scan, combine_by_scan  # noqa: E402
 
 
 @st.composite
@@ -29,3 +29,20 @@ def test_construction_matches_the_reference_canonical_form(fields):
     s = IndexSet(*fields)
     assert (s.threshold, s.exceptional, s.period, s.residues) == canonical_form_by_scan(*fields)
     assert parse_index_set(format_index_set(s)) == s
+
+
+@st.composite
+def pure_or_thresholded(draw):
+    # mostly threshold 0, where the admissibility scan works on classes
+    threshold, exceptional, period, residues = draw(raw_fields())
+    if draw(st.integers(0, 3)):
+        threshold, exceptional = 0, set()
+    return IndexSet(threshold, exceptional, period, residues)
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(pure_or_thresholded(), pure_or_thresholded(), st.sampled_from((2, 3, 5, 7)))
+def test_class_scan_and_set_algebra_match_the_per_integer_references(I, J, p):
+    assert admissible_check(I, J, p, bound=60) == admissible_check_by_walk(I, J, p, bound=60)
+    for op in ("union", "intersect", "difference"):
+        assert getattr(I, op)(J) == combine_by_scan(I, J, op)

@@ -1,18 +1,27 @@
 """Seeded builders and brute-force reference engines shared by the suite."""
 
+import itertools
 from collections import deque
 from fractions import Fraction
+from math import lcm
 
 from riordan import (
+    AdmissibilityReport,
     CapExceededError,
+    CoeffRing,
+    IndexSet,
     NottSeries,
     RiordanElem,
     TruncSeries,
     UnitSeries,
+    Violation,
     binom_mod_p,
     max_elements,
+    sumset_closed,
+    verify_violation,
 )
-from riordan.series import _mul_coeffs, _powers
+from riordan.index_sets import _shift_check
+from riordan.series import _mul_coeffs, _powers, require_within_cap
 
 
 def rand_coeff(rng, ring):
@@ -279,3 +288,98 @@ def admissibility_by_brute(I, J, p, bound):
         return 2, witness[0], None
     bad = scan(I, 0)
     return None if bad is None else (3,) + bad
+
+
+# The per-n admissibility walk and the per-integer set combination the
+# library used before its class-set scan and lifted-residue set algebra.
+
+def dominated_ns_by_product(a, p):
+    """All n in [1, a] with C(a, n) nonzero mod p, by digit products, sorted."""
+    digits = []
+    x = a
+    while x:
+        x, d = divmod(x, p)
+        digits.append(d)
+    out = []
+    for combo in itertools.product(*(range(d + 1) for d in digits)):
+        n = 0
+        for pos, e in enumerate(combo):
+            n += e * p**pos
+        if n:
+            out.append(n)
+    return tuple(sorted(out))
+
+
+def admissible_check_by_walk(I, J, p, bound=1000):
+    """admissible_check with every dominated n of every base visited in turn."""
+    CoeffRing(p)
+    bound = int(bound)
+    if bound < 4:
+        raise ValueError("bound must be >= 4")
+    require_within_cap(
+        2 * bound, f"the admissibility scan reads membership up to 2*bound={2 * bound}"
+    )
+
+    def scan(base_set, cond):
+        # cond 1: partner J, target J, binomial on base+1
+        # cond 3: partner J, target I, binomial on base
+        target = J if cond == 1 else I
+        pure = J.threshold == 0 and target.threshold == 0
+        cache = {}
+        mt = target.period
+        for b in [x for x in range(1, bound + 1) if x in base_set]:
+            a = b + 1 if cond == 1 else b
+            for n in dominated_ns_by_product(a, p):
+                if pure:
+                    key = (b % mt, n % mt)
+                    hit = cache.get(key)
+                    if hit is False:
+                        continue
+                bad = _shift_check(b, n, J, target)
+                if pure:
+                    cache[key] = bad is not None
+                if bad is not None:
+                    w, v = bad
+                    return Violation(cond, b, n, w, v)
+        return None
+
+    bad = scan(J, 1)
+    cert = True
+    if bad is None:
+        rep = sumset_closed(I, bound)
+        cert = rep.certified
+        if not rep.closed:
+            i, i2, v = rep.witness
+            bad = Violation(2, i, None, i2, v)
+    if bad is None:
+        bad = scan(I, 3)
+    if bad is not None:
+        if not verify_violation(bad, I, J, p):
+            raise RuntimeError(f"admissibility witness failed re-verification: {bad}")
+        return AdmissibilityReport("violation", bound, p, cert, bad)
+    return AdmissibilityReport("pass-up-to-bound", bound, p, cert, None)
+
+
+COMBINE_KEEP = {
+    "union": lambda a, b: a or b,
+    "intersect": lambda a, b: a and b,
+    "difference": lambda a, b: a and not b,
+}
+
+
+def combine_by_scan(s, other, op):
+    """s.union / intersect / difference(other), one keep() call per integer."""
+    keep = COMBINE_KEEP[op]
+    m = lcm(s.period, other.period)
+    t = max(s.threshold, other.threshold)
+    require_within_cap(
+        max(m, t),
+        f"combining index sets needs lcm(periods)={m} residues and a threshold of {t}",
+    )
+    res = {
+        x
+        for x in range(m)
+        if keep((x % s.period) in s.residues, (x % other.period) in other.residues)
+    }
+    exc = {n for n in range(1, t) if keep(n in s, n in other)}
+    return IndexSet(t, exc, m, res)
