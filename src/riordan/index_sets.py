@@ -562,16 +562,17 @@ def admissible_check(I, J, p, bound=1000):
     sumset step reads membership up to 2*bound, so a 2*bound above the
     enumeration cap raises CapExceededError before any scan.
 
-    When J and the target (J for (1), I for (3)) both have threshold 0,
-    whether base b and n pass depends only on b and n mod the target
-    period mt.  The scan then takes, for each base, the set of classes
-    n mod mt of its Lucas-dominated n (built from the base-p digits of
-    b+1 or b, see _DominatedClasses) and checks only the classes that b's
-    class has not passed yet, so a base costs O(mt) rather than one check
-    per dominated n.  Only a failing class sends the scan through the
+    For a base b at or past the target threshold (the target is J for (1),
+    I for (3)), every value b + n*w that _shift_check reads is at least b,
+    so whether b and n pass depends only on b and n mod the target period
+    mt.  The scan then takes, for each such base, the set of classes n mod
+    mt of its Lucas-dominated n (built from the base-p digits of b+1 or b,
+    see _DominatedClasses) and checks only the classes that b's class has
+    not passed yet, so a base costs O(mt) rather than one check per
+    dominated n.  Only a failing class sends the scan through the
     dominated n of that base in ascending order, to name the same least
-    witness as a walk over every n.  Other pairs take that walk for every
-    base.
+    witness as a walk over every n.  The finitely many bases below the
+    target threshold take that walk directly.
     """
     CoeffRing(p)
     bound = int(bound)
@@ -598,18 +599,17 @@ def admissible_check(I, J, p, bound=1000):
         # cond 3: partner J, target I, binomial on base
         target = J if cond == 1 else I
         shift = 1 if cond == 1 else 0
-        if J.threshold or target.threshold:
-            for b in _members_upto(base_set, bound):
-                bad = walk(b, b + shift, target, cond)
-                if bad is not None:
-                    return bad
-            return None
-        # threshold 0 on both sides: a class c in [0, mt) stands in for
+        # past the target threshold a class c in [0, mt) stands in for
         # every n = c mod mt (see the docstring)
         mt = target.period
         classes_of = _DominatedClasses(p, mt)
         passed = {}
         for b in _members_upto(base_set, bound):
+            if b < target.threshold:
+                bad = walk(b, b + shift, target, cond)
+                if bad is not None:
+                    return bad
+                continue
             done = passed.setdefault(b % mt, set())
             if len(done) == mt:
                 continue

@@ -172,6 +172,16 @@ def test_admissible_reaches_bound_100000(capsys, tmp_path):
     assert out == "verdict=pass-up-to-bound bound=100000 condition2_certified=true\n"
 
 
+def test_admissible_reaches_bound_100000_past_a_threshold(capsys, tmp_path):
+    # {6, 9, 12, ...} keeps threshold 4: bases past a target threshold take
+    # the class path too, only the bases below it walk every dominated n
+    pair = "T=4; except=; period=3; residues=0\nT=4; except=; period=3; residues=0\n"
+    code, out, err = run_cli(capsys, "admissible", "--p", "3", "--bound", "100000",
+                             "--in", payload(tmp_path, pair))
+    assert (code, err) == (0, "")
+    assert out == "verdict=pass-up-to-bound bound=100000 condition2_certified=true\n"
+
+
 def test_density_reads_stdin(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("T=0; except=; period=9; residues=0,2,5,8\n"))
     code, out, _ = run_cli(capsys, "density")
