@@ -344,17 +344,43 @@ def sumset_certification_bound(s):
     return 2 * (s.threshold + s.period)
 
 
+def _member_flags(s, top):
+    """Byte n is 1 exactly when n is in s, for 0 <= n <= top.
+
+    From lo = max(threshold, 1) on, the flags of one period (or of the part
+    of it below top) are read off the residues, or off the positions when
+    there are fewer of those, and repeated up to top by one slice
+    assignment; the exceptional members are then set one by one.  So the
+    cost is O(top) byte copies plus O(min(|residues|, period, top)) steps.
+    """
+    top = max(int(top), 0)
+    row = bytearray(top + 1)
+    lo = max(s.threshold, 1)
+    if s.residues and lo <= top:
+        m, width = s.period, top + 1 - lo
+        span = min(m, width)
+        # block[k] = 1 exactly when lo + k lies in a residue class
+        if len(s.residues) <= span:
+            block = bytearray(span)
+            for r in s.residues:
+                k = (r - lo) % m
+                if k < span:
+                    block[k] = 1
+        else:
+            block = bytes(map(s.residues.__contains__, map(m.__rmod__, range(lo, lo + span))))
+        row[lo:] = (block * -(-width // span))[:width]
+    for e in s.exceptional:
+        if e <= top:
+            row[e] = 1
+    return row
+
+
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def _member_bits(s, top):
     """The members of s in [1, top] as the set bits of one int."""
-    row = bytearray(b"0") * (max(int(top), 0) + 1)
-    lo = max(s.threshold, 1)
-    for r in s.residues:
-        first = s.first_in_class(r, lo)
-        row[first::s.period] = b"1" * len(range(first, len(row), s.period))
-    for e in s.exceptional:
-        if e < len(row):
-            row[e] = ord("1")
-    return int(row[::-1], 2)
+    return int(_member_flags(s, top)[::-1].translate(_BIT_CHARS), 2)
 
 
 def sumset_closed(s, bound=None):
@@ -365,19 +391,25 @@ def sumset_closed(s, bound=None):
     same sum residue and comparable threshold side.  A smaller bound
     downgrades the verdict to up-to-bound.
 
-    Membership up to 2*bound is one int.  For each member i in ascending
-    order, rest holds the members j >= i, so the lowest set bit of
-    (rest << i) & ~inside is the least i+j outside s: the first witness of
-    the pair scan in (i, j) order.  A 2*bound above the enumeration cap
-    raises CapExceededError.
+    The scan stops at min(bound, 2(T+m)) for threshold T and period m: if
+    a pair (i, j) with j >= T + m fails, so does (i, j - m) (j - m is
+    still a member past T, and i + j - m is in the class of i + j past
+    it), so the first failing pair in (i, j) order has j < T + m, and a
+    longer scan finds no other verdict or witness.  The report keeps the caller's
+    bound.  Membership up to twice the scan length is one int.  For each
+    member i in ascending order, rest holds the members j >= i, so the
+    lowest set bit of (rest << i) & ~inside is the least i+j outside s:
+    the first witness of the pair scan in (i, j) order.  A 2*bound above
+    the enumeration cap raises CapExceededError.
     """
     cert = sumset_certification_bound(s)
     if bound is None:
         bound = cert
     bound = int(bound)
     require_within_cap(2 * bound, f"the sumset scan reads membership up to 2*bound={2 * bound}")
-    inside = _member_bits(s, 2 * bound)
-    rest = inside & ((2 << max(bound, 0)) - 1)
+    scan = min(bound, cert)
+    inside = _member_bits(s, 2 * scan)
+    rest = inside & ((2 << max(scan, 0)) - 1)
     while rest:
         i = (rest & -rest).bit_length() - 1
         escape = (rest << i) & ~inside
@@ -546,7 +578,8 @@ def _shift_check(base, n, partner, target):
 
 
 def _members_upto(s, bound):
-    return [x for x in range(1, bound + 1) if x in s]
+    """The members of s in [1, bound], ascending."""
+    return itertools.compress(range(bound + 1), _member_flags(s, bound))
 
 
 def admissible_check(I, J, p, bound=1000):
@@ -559,8 +592,10 @@ def admissible_check(I, J, p, bound=1000):
     The outer indices i, j run up to the bound; the inner quantifier over J
     is exact (see _shift_check).  Conditions are tried in order and the
     first violation wins; every witness re-verifies independently.  The
-    sumset step reads membership up to 2*bound, so a 2*bound above the
-    enumeration cap raises CapExceededError before any scan.
+    bases come off one row of member flags up to the bound (see
+    _member_flags), and the sumset step reads membership up to
+    2*min(bound, 2(T+m)) (see sumset_closed); a 2*bound above the
+    enumeration cap still raises CapExceededError before any scan.
 
     For a base b at or past the target threshold (the target is J for (1),
     I for (3)), every value b + n*w that _shift_check reads is at least b,
@@ -716,16 +751,88 @@ def w_value(j, p):
     return W_value(j + 1, p)
 
 
+def _jxi_decomposition(xi, p):
+    """J(xi) for a checked xi as residue classes mod p^(K+1) (see Jxi)."""
+    if xi == 0:
+        return IndexSet.empty()
+    if xi == Fraction(1, p):
+        # every j = -1 mod p has w(j) < 1/p: the leading base-p digit of
+        # j+1 is 0 and the expansion is finite
+        return IndexSet(period=p, residues={p - 1})
+    digits = []
+    x = xi * p
+    while x:
+        x *= p
+        d = int(x)
+        digits.append(d)
+        x -= d
+    K = len(digits)
+    P = p ** (K + 1)
+    require_within_cap(P, f"J(xi) has period {p}^{K + 1}")
+    residues = set()
+    prefix = 0
+    for n in range(1, K + 1):
+        c = digits[n - 1]
+        step = p ** (n + 1)
+        for t in range(c):
+            # the class prefix + t*p^n - 1 mod step, lifted to the period
+            residues.update(range((prefix + t * p**n - 1) % step, P, step))
+        prefix += c * p**n
+    return IndexSet(period=P, residues=residues)
+
+
+def _reversal_at_most(t, size, p):
+    """Byte x is 1 exactly when rev(x) <= t, for 0 <= x < size = p^L.
+
+    rev(x) reads the L base-p digits of x, leading zeros included, in
+    reverse.  By rev(x) = (x mod p)*p^(L-1) + rev(x div p), the bytes at
+    x = d mod p are the row for p^(L-1) and t - d*p^(L-1); at most one d
+    gives a row that is neither all 0 nor all 1, so a call costs O(size).
+    """
+    if t < 0:
+        return bytes(size)
+    if t >= size - 1:
+        return b"\x01" * size
+    lead = size // p
+    row = bytearray(size)
+    for d in range(p):
+        row[d::p] = _reversal_at_most(t - d * lead, lead, p)
+    return row
+
+
+def _w_below_flags(xi, p, top):
+    """Byte j is 1 exactly when j = -1 mod p and w(j) < xi, for 0 <= j <= top.
+
+    For j = p*q - 1, w(j) = W(p*q) = W(q)/p = rev(q)/p^(L+1) with L the
+    number of base-p digits of q, so j is flagged exactly when
+    rev(q)*den < num*p^(L+1), that is rev(q) <= (num*p^(L+1) - 1) // den.
+    The q with L digits are the tail [p^(L-1), p^L) of _reversal_at_most's
+    row, one row per digit length: O(top) bytes, no int per index.
+    """
+    num, den = xi.numerator, xi.denominator
+    last = (top + 1) // p  # the largest q with p*q - 1 <= top
+    flags = bytearray()  # byte q - 1 for q = 1, 2, ...
+    lead = 1  # p^(L-1)
+    while lead <= last:
+        size = lead * p
+        flags += _reversal_at_most((num * size * p - 1) // den, size, p)[lead:]
+        lead = size
+    row = bytearray(top + 1)
+    row[p - 1 :: p] = flags[:last]
+    return row
+
+
 def Jxi(xi, p, emit_bound=10**4):
     """The set {j = -1 mod p : w(j) < xi} as explicit progressions.
 
     xi must be a rational in [0, 1/p] with p-power denominator; the result
     is a union of residue classes mod p^(K+1) where K is the digit length
-    of p*xi.  Membership is re-verified against the direct w(j) < xi scan
-    up to emit_bound >= 1 before returning, in integers:
-    w(j) = rev/p^L < num/den exactly when rev*den < num*p^L.  A period
-    p^(K+1) or an emit_bound above the enumeration cap raises
-    CapExceededError.
+    of p*xi.  Membership is re-verified up to emit_bound >= 1 before
+    returning: the direct w(j) < xi row, built in integers from base-p
+    digit reversals (see _w_below_flags), must equal the decomposition's
+    member flags byte for byte, and the first j where they differ is
+    named.  A period p^(K+1) or an emit_bound above the enumeration cap
+    raises CapExceededError.
     """
     CoeffRing(p)
     emit_bound = int(emit_bound)
@@ -743,43 +850,12 @@ def Jxi(xi, p, emit_bound=10**4):
     if den != 1:
         raise ValueError("xi must have a p-power denominator")
 
-    if xi == 0:
-        out = IndexSet.empty()
-    elif xi == Fraction(1, p):
-        # every j = -1 mod p has w(j) < 1/p: the leading base-p digit of
-        # j+1 is 0 and the expansion is finite
-        out = IndexSet(period=p, residues={p - 1})
-    else:
-        digits = []
-        x = xi * p
-        while x:
-            x *= p
-            d = int(x)
-            digits.append(d)
-            x -= d
-        K = len(digits)
-        P = p ** (K + 1)
-        require_within_cap(P, f"J(xi) has period {p}^{K + 1}")
-        residues = set()
-        prefix = 0
-        for n in range(1, K + 1):
-            c = digits[n - 1]
-            step = p ** (n + 1)
-            for t in range(c):
-                anchor = prefix + t * p**n
-                for u in range(P // step):
-                    residues.add((anchor - 1 + u * step) % P)
-            prefix += c * p**n
-        out = IndexSet(period=P, residues=residues)
-
-    num, den = xi.numerator, xi.denominator
-    for j in range(1, emit_bound + 1):
-        direct = False
-        if j % p == p - 1:
-            rev, scale = _reversal(j + 1, p)
-            direct = rev * den < num * scale
-        if direct != (j in out):
-            raise RuntimeError(f"progression decomposition disagrees with the w-scan at j={j}")
+    out = _jxi_decomposition(xi, p)
+    direct = _w_below_flags(xi, p, emit_bound)
+    flags = _member_flags(out, emit_bound)
+    if direct != flags:
+        j = next(j for j, (a, b) in enumerate(zip(direct, flags)) if a != b)
+        raise RuntimeError(f"progression decomposition disagrees with the w-scan at j={j}")
     return out
 
 

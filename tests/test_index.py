@@ -22,12 +22,14 @@ from riordan import (
     format_index_set,
     group_closure_crosscheck,
     hausdorff_dim,
+    max_elements,
     parse_index_set,
     spectrum_sample,
     sumset_closed,
     verify_violation,
     w_value,
 )
+from riordan import index_sets
 from riordan.index_sets import sumset_certification_bound
 from util import (
     W_by_fractions,
@@ -36,7 +38,9 @@ from util import (
     canonical_form_by_scan,
     combine_by_scan,
     density_curve_by_scan,
+    reversal_scan,
     sumset_by_pairs,
+    sumset_closed_unclamped,
 )
 
 N3 = IndexSet.multiples(3)
@@ -199,6 +203,35 @@ def test_sumset_matches_the_pair_scan():
             closed, witness = sumset_by_pairs(s, want)
             assert (rep.closed, rep.witness, rep.bound) == (closed, witness, want)
             assert rep.certified == (not closed or want >= sumset_certification_bound(s))
+
+
+def hundreds_period_set(rng):
+    """A set of period 100..400: g*N from a threshold on (closed), the same
+    with one more class (a late or no witness), or a sparse random set."""
+    g = rng.randrange(100, 401)
+    kind = rng.randrange(3)
+    if kind == 2:
+        residues = [r for r in range(g) if rng.random() < 0.05] or [0]
+        return IndexSet(rng.randrange(0, 60), (), g, residues), g
+    threshold = g * rng.randrange(0, 4) + rng.randrange(0, g)
+    exceptional = [e for e in range(g, threshold, g) if 2 * e >= threshold]
+    residues = {0} if kind == 0 else {0, rng.randrange(1, g)}
+    return IndexSet(threshold, exceptional, g, residues), g
+
+
+def test_clamped_scans_match_the_unclamped_references():
+    # the sumset scan stops at 2(T+m); below, at and above that bound the
+    # reports equal those of the scan read to 2*bound, field by field
+    rng = random.Random(1111)
+    for _ in range(40):
+        I, g = hundreds_period_set(rng)
+        p = rng.choice((2, 3, 5, 7))
+        J = rng.choice((IndexSet.empty(), IndexSet.multiples(g), IndexSet.multiples(2 * g),
+                        IndexSet.multiples(rng.randrange(3, 20))))
+        cert = sumset_certification_bound(I)
+        for bound in (cert // 3, cert - 1, cert, cert + 1, 2 * cert + 5):
+            assert sumset_closed(I, bound) == sumset_closed_unclamped(I, bound)
+            assert admissible_check(I, J, p, bound) == admissible_check_by_walk(I, J, p, bound)
 
 
 def test_binom_mod_p():
@@ -441,6 +474,59 @@ def test_jxi_pins():
         with pytest.raises(ValueError, match="emit_bound"):
             Jxi(Fr(1, 9), 3, emit_bound=emit_bound)
     assert Jxi(Fr(1, 9), 3, emit_bound=1) == IndexSet(period=9, residues=(8,))
+
+
+def seeded_xis(p, rng):
+    """One xi per digit length K of p*xi whose period p^(K+1) is within the cap."""
+    yield Fr(0)
+    yield Fr(1, p)
+    K = 1
+    while p ** (K + 1) <= max_elements():
+        k = rng.randrange(1, p**K)
+        while k % p == 0:
+            k = rng.randrange(1, p**K)
+        yield Fr(k, p ** (K + 1))
+        K += 1
+
+
+def test_jxi_check_matches_the_reversal_scan():
+    rng = random.Random(1112)
+    for p in (2, 3, 5, 7, 11):
+        for xi in seeded_xis(p, rng):
+            out = Jxi(xi, p, emit_bound=1)
+            for emit_bound in (1, 2, p - 1, p, 10**4):
+                assert Jxi(xi, p, emit_bound=emit_bound) == out
+                assert reversal_scan(out, xi, p, emit_bound) is out
+
+
+def raised(call, *args, **kwargs):
+    """The RuntimeError text of call(*args, **kwargs), or None when it returns."""
+    try:
+        call(*args, **kwargs)
+    except RuntimeError as exc:
+        return str(exc)
+    return None
+
+
+def test_jxi_check_names_the_first_flipped_index(monkeypatch):
+    # one residue toggled in the decomposition: the check raises at the same
+    # least j, with the same text, as the per-index reversal scan (or, when
+    # the flip lies past emit_bound, neither raises)
+    decompose = index_sets._jxi_decomposition
+    rng = random.Random(1113)
+    caught = 0
+    for p in (2, 3, 5, 7, 11):
+        for xi in list(seeded_xis(p, rng))[:6]:
+            out = decompose(xi, p)
+            m = out.period
+            for r in {0, (p - 1) % m, rng.randrange(m), rng.randrange(m)}:
+                flipped = IndexSet(period=m, residues=out.residues ^ {r})
+                monkeypatch.setattr(index_sets, "_jxi_decomposition", lambda *_: flipped)
+                for emit_bound in (p, 500):
+                    want = raised(reversal_scan, flipped, xi, p, emit_bound)
+                    assert raised(Jxi, xi, p, emit_bound=emit_bound) == want
+                    caught += want is not None
+    assert caught > 100
 
 
 def test_scan_bounds_go_through_the_cap(monkeypatch):

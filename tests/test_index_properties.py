@@ -6,6 +6,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from riordan import IndexSet, admissible_check, format_index_set, parse_index_set  # noqa: E402
+from riordan.index_sets import _member_flags  # noqa: E402
 from util import admissible_check_by_walk, canonical_form_by_scan, combine_by_scan  # noqa: E402
 
 
@@ -46,3 +47,16 @@ def test_class_scan_and_set_algebra_match_the_per_integer_references(I, J, p):
     assert admissible_check(I, J, p, bound=60) == admissible_check_by_walk(I, J, p, bound=60)
     for op in ("union", "intersect", "difference"):
         assert getattr(I, op)(J) == combine_by_scan(I, J, op)
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(raw_fields(), st.integers(0, 300))
+@hypothesis.example((0, set(), 5, {1, 3}), 0)  # top = 0
+@hypothesis.example((30, {2, 9, 17}, 4, {1}), 12)  # top below the threshold
+@hypothesis.example((0, set(), 250, {7, 240}), 100)  # a period above top
+@hypothesis.example((12, {1, 5, 11}, 7, {0, 2, 3, 4, 6}), 60)  # exceptional members, dense classes
+def test_member_flags_are_membership(fields, top):
+    s = IndexSet(*fields)
+    flags = _member_flags(s, top)
+    assert len(flags) == top + 1
+    assert all(flags[n] == (n in s) for n in range(top + 1))

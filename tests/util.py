@@ -12,15 +12,15 @@ from riordan import (
     IndexSet,
     NottSeries,
     RiordanElem,
+    SumsetReport,
     TruncSeries,
     UnitSeries,
     Violation,
     binom_mod_p,
     max_elements,
-    sumset_closed,
     verify_violation,
 )
-from riordan.index_sets import _shift_check
+from riordan.index_sets import _reversal, _shift_check, sumset_certification_bound
 from riordan.series import _mul_coeffs, _powers, require_within_cap
 
 
@@ -290,6 +290,61 @@ def admissibility_by_brute(I, J, p, bound):
     return None if bad is None else (3,) + bad
 
 
+# The per-index scans the index layer ran before its member-flags kernel:
+# one membership test per index, the sumset scan read to 2*bound whatever
+# the certificate, and one digit reversal per J(xi) index.
+
+def members_upto_by_scan(s, bound):
+    """The members of s in [1, bound], one membership test per integer."""
+    return [x for x in range(1, bound + 1) if x in s]
+
+
+def sumset_closed_unclamped(s, bound=None):
+    """sumset_closed with membership to 2*bound, built one residue class at a time."""
+    cert = sumset_certification_bound(s)
+    if bound is None:
+        bound = cert
+    bound = int(bound)
+    require_within_cap(2 * bound, f"the sumset scan reads membership up to 2*bound={2 * bound}")
+    row = bytearray(b"0") * (max(2 * bound, 0) + 1)
+    lo = max(s.threshold, 1)
+    for r in s.residues:
+        first = s.first_in_class(r, lo)
+        row[first::s.period] = b"1" * len(range(first, len(row), s.period))
+    for e in s.exceptional:
+        if e < len(row):
+            row[e] = ord("1")
+    inside = int(row[::-1], 2)
+    rest = inside & ((2 << max(bound, 0)) - 1)
+    while rest:
+        i = (rest & -rest).bit_length() - 1
+        escape = (rest << i) & ~inside
+        if escape:
+            v = (escape & -escape).bit_length() - 1
+            return SumsetReport(False, True, bound, (i, v - i, v))
+        rest &= rest - 1
+    return SumsetReport(True, bound >= cert, bound, None)
+
+
+def reversal_scan(out, xi, p, emit_bound):
+    """Jxi's re-verification of the decomposition out, one j at a time.
+
+    Raises RuntimeError at the least j <= emit_bound where j in out differs
+    from w(j) < xi, decided as rev*den < num*p^L from the digit reversal
+    of j + 1; returns out when they agree.
+    """
+    xi = Fraction(xi)
+    num, den = xi.numerator, xi.denominator
+    for j in range(1, emit_bound + 1):
+        direct = False
+        if j % p == p - 1:
+            rev, scale = _reversal(j + 1, p)
+            direct = rev * den < num * scale
+        if direct != (j in out):
+            raise RuntimeError(f"progression decomposition disagrees with the w-scan at j={j}")
+    return out
+
+
 # The per-n admissibility walk and the per-integer set combination the
 # library used before its class-set scan and lifted-residue set algebra.
 
@@ -311,7 +366,8 @@ def dominated_ns_by_product(a, p):
 
 
 def admissible_check_by_walk(I, J, p, bound=1000):
-    """admissible_check with every dominated n of every base visited in turn."""
+    """admissible_check with every dominated n of every base visited in turn,
+    the bases listed and the sumset scanned by the per-index references above."""
     CoeffRing(p)
     bound = int(bound)
     if bound < 4:
@@ -327,7 +383,7 @@ def admissible_check_by_walk(I, J, p, bound=1000):
         pure = J.threshold == 0 and target.threshold == 0
         cache = {}
         mt = target.period
-        for b in [x for x in range(1, bound + 1) if x in base_set]:
+        for b in members_upto_by_scan(base_set, bound):
             a = b + 1 if cond == 1 else b
             for n in dominated_ns_by_product(a, p):
                 if pure:
@@ -346,7 +402,7 @@ def admissible_check_by_walk(I, J, p, bound=1000):
     bad = scan(J, 1)
     cert = True
     if bad is None:
-        rep = sumset_closed(I, bound)
+        rep = sumset_closed_unclamped(I, bound)
         cert = rep.certified
         if not rep.closed:
             i, i2, v = rep.witness
