@@ -25,12 +25,14 @@ series.require_within_cap before it starts.  The whole quotient is the
 closure of its coordinate generators, which keeps three of them (four at
 p = 2 from level 7 on), and every product in the engine takes its left
 factor from a small fixed set (the basis, the stored squares of its
-inverses, the conjugators), so the power cache hits.
+inverses, the inverse powers its sifts built up to p = 13, and the
+conjugators), so the power cache hits.
 
 Everything returned is immutable; closure work touches no shared mutable
 state beyond a per-group cache of packed substitution powers, bounded by
 _POW_CACHE_LIMIT tables (concurrent inserts can pass it by one table per
-thread), whose entries are never modified, so concurrent use on distinct
+thread), and a closure handle's own kept sift powers (at most p - 1 per
+slot), whose entries are never modified, so concurrent use on distinct
 handles is safe.
 """
 
@@ -59,6 +61,17 @@ from .series import (
 # is full.  The pc engine's left factors fill about 500 in verify_lcs_formula
 # at (3,45), depth 6; random left factors fill it and clear it.
 _POW_CACHE_LIMIT = 1024
+
+# The largest p at which each pc slot keeps every u^-e its sifts build.  A
+# kept power is a new left factor, so it costs one packed power table (the
+# time of about a dozen products at level 16); past p = 13 the exponents of
+# one slot rarely repeat often enough to repay that (break-even measured
+# between p = 13 and 17).
+_SIFT_MEMO_MAX_P = 13
+
+# Sampled tower checks decode each draw through tables of c-digit tuples;
+# p^c stays at most this many entries, whatever p, the level and the samples.
+_CHUNK_TABLE_LIMIT = 4096
 
 
 class SubgroupHandle:
@@ -113,10 +126,13 @@ class _PcSequence:
     identity leads past the last one.  The sequence keeps at most one basis
     element per slot, led by that slot with coefficient 1, and the powers
     u^-(2^k) of its inverse up to the top bit of p, from which _power builds
-    any power by square-and-multiply.  Sifting left-multiplies by those
-    powers to clear the leading coordinate until the element is the
-    identity or leads at an empty slot; each layer is central modulo the
-    next, so u^-e x clears the same pivot as x u^-e.  Closure puts each new
+    any power by square-and-multiply.  Sifting left-multiplies by u^-e to
+    clear the leading coordinate e until the element is the identity or
+    leads at an empty slot; each layer is central modulo the next, so
+    u^-e x clears the same pivot as x u^-e.  Up to p = _SIFT_MEMO_MAX_P each
+    u^-e a sift builds is kept for its slot (at most p - 1 of them), so a
+    repeated exponent costs one product; past it a step takes popcount(e)
+    products from the stored squares.  Closure puts each new
     basis element's p-th power and its commutators with the earlier basis
     elements (and its conjugates by `conjugators`) on the queue.  The
     normal-form words in the basis are then the subgroup, of order
@@ -133,7 +149,7 @@ class _PcSequence:
     first also bounds every sift by the number of slots.
     """
 
-    __slots__ = ("group", "_conjugators", "_basis", "_inv_sq", "_size")
+    __slots__ = ("group", "_conjugators", "_basis", "_inv_sq", "_inv_pow", "_size")
 
     def __init__(self, group, conjugators=()):
         self.group = group
@@ -141,6 +157,9 @@ class _PcSequence:
         self._basis = [None] * (2 * group.na)
         # per filled slot: (u^-1, u^-2, u^-4, ...) up to the top bit of p
         self._inv_sq = [None] * (2 * group.na)
+        # per filled slot, up to p = _SIFT_MEMO_MAX_P: {e: u^-e} for each
+        # exponent a sift has met
+        self._inv_pow = [None] * (2 * group.na)
         self._size = 0
 
     @property
@@ -178,10 +197,17 @@ class _PcSequence:
 
     def sift(self, x):
         """Inverse basis powers times x: the identity exactly when x is a member."""
-        coord, inv_sq = self.group.pc_coords, self._inv_sq
+        coord, inv_sq, inv_pow = self.group.pc_coords, self._inv_sq, self._inv_pow
         s = self._lead(x)
         while s < len(coord) and inv_sq[s] is not None:
-            y = self._power(inv_sq[s], x[coord[s]], x)
+            e, memo = x[coord[s]], inv_pow[s]
+            if memo is None:
+                y = self._power(inv_sq[s], e, x)
+            else:
+                z = memo.get(e)
+                if z is None:
+                    z = memo[e] = self._power(inv_sq[s], e)
+                y = self.group.mul(z, x)
             t = self._lead(y)
             if t <= s:
                 raise RuntimeError(
@@ -233,6 +259,8 @@ class _PcSequence:
             for t, ti in self._conjugators:
                 queue.append(mul(ti, mul(u, t)))
             basis[s], inv_sq[s] = u, tuple(sq)
+            if p <= _SIFT_MEMO_MAX_P:
+                self._inv_pow[s] = {}
             self._size += 1
         return self._size > size
 
@@ -680,12 +708,61 @@ def _tuple_at(n, p, width):
     return tuple(t)
 
 
+def _part_reader(p, width, entries):
+    # n -> (t, t[:-1]) for t = _tuple_at(n, p, width), 0 <= n < p^width, with
+    # p^2 <= entries.  The digits come c >= 2 per divmod from a table of the
+    # p^c tuples of c digits, p^c at most entries, and the top chunk holds
+    # the 1..c digits left over.
+    c = 2
+    while c < width and p ** (c + 1) <= entries:
+        c += 1
+    rest = (width - 1) // c  # chunks below the top one
+    top = list(itertools.product(range(p), repeat=width - rest * c))
+    if not rest:
+        return [(t, t[:-1]) for t in top].__getitem__
+    chunk, pc = list(itertools.product(range(p), repeat=c)), p**c
+
+    def read(n):
+        t = ()
+        for _ in range(rest):
+            n, d = divmod(n, pc)
+            t = chunk[d] + t
+        t = top[n] + t
+        return t, t[:-1]
+
+    return read
+
+
 @dataclass(frozen=True)
 class TowerReport:
     passed: bool
     pairs_checked: int
     mode: str
     surjective: bool
+
+
+def _sampled_pairs(G, samples, seed):
+    # (x, proj(x), y, proj(y)) for seeded x, y: each tuple the base-p digits
+    # of one draw from range(order), x drawn first; proj drops the last digit
+    # of the a-part and of the b-part.  A table holds no more entries than
+    # the 4 * samples parts the pairs read, nor than _CHUNK_TABLE_LIMIT.
+    # When p^2 entries fit, a draw splits at p^na into its a-part and b-part
+    # and each part is read from the tables; otherwise every digit costs one
+    # divmod.
+    draw, order, p, na = random.Random(seed).randrange, G.order, G.p, G.na
+    entries = min(_CHUNK_TABLE_LIMIT, 4 * samples)
+    if p * p > entries:
+        for _ in range(samples):
+            x = _tuple_at(draw(order), p, 2 * na)
+            y = _tuple_at(draw(order), p, 2 * na)
+            yield x, x[: na - 1] + x[na:-1], y, y[: na - 1] + y[na:-1]
+        return
+    split, read = p**na, _part_reader(p, na, entries)
+    for _ in range(samples):
+        xa, xb = divmod(draw(order), split)
+        ya, yb = divmod(draw(order), split)
+        (xa, pxa), (xb, pxb), (ya, pya), (yb, pyb) = read(xa), read(xb), read(ya), read(yb)
+        yield xa + xb, pxa + pxb, ya + yb, pya + pyb
 
 
 def tower_consistency(G_hi, G_lo, samples=None, seed=0):
@@ -723,22 +800,19 @@ def tower_consistency(G_hi, G_lo, samples=None, seed=0):
         require_within_cap(
             G_hi.order**2, f"exhaustive tower check needs {G_hi.order ** 2} pairs (pass samples=)"
         )
-        elems = list(G_hi.iter_elements())
-        pairs = 0
-        for x in elems:
-            for y in elems:
-                pairs += 1
-                if proj(G_hi.mul(x, y)) != G_lo.mul(proj(x), proj(y)):
-                    return TowerReport(False, pairs, "exhaustive", surjective)
-        return TowerReport(surjective, pairs, "exhaustive", surjective)
-    rng = random.Random(seed)
-    p, order, width = G_hi.p, G_hi.order, 2 * na_hi
-    for k in range(samples):
-        x = _tuple_at(rng.randrange(order), p, width)
-        y = _tuple_at(rng.randrange(order), p, width)
-        if proj(G_hi.mul(x, y)) != G_lo.mul(proj(x), proj(y)):
-            return TowerReport(False, k + 1, "sampled", surjective)
-    return TowerReport(surjective, samples, "sampled", surjective)
+        mode = "exhaustive"
+        elems = [(x, proj(x)) for x in G_hi.iter_elements()]
+        quadruples = ((x, px, y, py) for x, px in elems for y, py in elems)
+    else:
+        mode, quadruples = "sampled", _sampled_pairs(G_hi, samples, seed)
+    mul_hi, mul_lo = G_hi.mul, G_lo.mul
+    pairs = 0
+    for x, px, y, py in quadruples:
+        pairs += 1
+        z = mul_hi(x, y)
+        if z[:na_lo] + z[na_hi : na_hi + na_lo] != mul_lo(px, py):
+            return TowerReport(False, pairs, mode, surjective)
+    return TowerReport(surjective, pairs, mode, surjective)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,7 +27,14 @@ from riordan import (
     verify_lcs_formula,
     width_report,
 )
-from util import closed_exhaustively, closure_by_bfs, mul_by_loops, rand_elem
+from util import (
+    closed_exhaustively,
+    closure_by_bfs,
+    mul_by_loops,
+    rand_elem,
+    tower_consistency_by_tuple_at,
+    tuple_at_draws,
+)
 
 F3 = CoeffRing(3)
 
@@ -145,6 +153,33 @@ def test_full_group_over_a_large_prime_takes_few_products(monkeypatch):
     monkeypatch.setattr(QuotientGroup, "mul", counting)
     assert G.full_group().order == 65537**4
     assert len(calls) < 1000
+
+
+@pytest.mark.parametrize(
+    "run, products",
+    [
+        (lambda: width_report(QuotientGroup(5, 30), 6), 60120),
+        (lambda: verify_lcs_formula(QuotientGroup(7, 20), 6), 21739),
+        (lambda: hm_generation_check(5, 6, 2), 2050),
+        # exponents 1 and 2 are both stored squares: nothing to keep at p = 3
+        (lambda: verify_lcs_formula(QuotientGroup(3, 30), 6), 48218),
+        # past _SIFT_MEMO_MAX_P a sift step multiplies by the stored squares
+        (lambda: verify_lcs_formula(QuotientGroup(101, 12), 4), 7954),
+    ],
+    ids=["width-5-30", "lcs-7-20", "hm-5-6-2", "lcs-3-30", "lcs-101-12"],
+)
+def test_sift_reuses_the_powers_it_built(monkeypatch, run, products):
+    # every product of the run, the 8 of each group's construction-time spot
+    # check included; a kept u^-e makes a repeated exponent cost one product
+    law, calls = QuotientGroup.mul, []
+
+    def counting(self, x, y):
+        calls.append(None)
+        return law(self, x, y)
+
+    monkeypatch.setattr(QuotientGroup, "mul", counting)
+    run()
+    assert len(calls) == products
 
 
 def test_power_cache_stays_bounded(monkeypatch):
@@ -443,6 +478,85 @@ def test_tower_consistency_reports_a_corrupted_product(monkeypatch):
     assert (rep.passed, rep.pairs_checked, rep.mode, rep.surjective) == (False, 6, "exhaustive", True)
     rep = tower_consistency(hi3, lo3, samples=50, seed=7)
     assert (rep.passed, rep.pairs_checked, rep.mode, rep.surjective) == (False, 4, "sampled", True)
+
+
+def _projected_draws(G, samples, seed):
+    lo = G.na - 1
+
+    def proj(x):
+        return x[:lo] + x[G.na : G.na + lo]
+
+    return [(x, proj(x), y, proj(y)) for x, y in tuple_at_draws(G, samples, seed)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65537, 10**6 + 3])
+def test_sampled_pairs_are_the_tuple_at_draws(p):
+    # single-chunk, multi-chunk and per-digit decoding; 997 samples is a
+    # count that is no multiple of any chunk width
+    for level in (3, 4, 5, 8, 13, 14, 30):
+        G = QuotientGroup(p, level)
+        for samples in (1, 997) + ((4000,) if level in (5, 30) else ()):
+            seed = level * samples
+            pairs = list(quotients._sampled_pairs(G, samples, seed))
+            assert pairs == _projected_draws(G, samples, seed), (p, level, samples)
+
+
+def test_tower_reports_match_the_tuple_at_reference():
+    cases = [
+        (QuotientGroup(2, 3), QuotientGroup(2, 2), None, 0),
+        (QuotientGroup(3, 3), QuotientGroup(3, 2), None, 0),
+        (QuotientGroup(3, 5), QuotientGroup(3, 4), 4000, 11),
+        (QuotientGroup(2, 9), QuotientGroup(2, 8), 997, 12),
+        (QuotientGroup(65537, 4), QuotientGroup(65537, 3), 50, 13),
+    ]
+    for hi, lo, samples, seed in cases:
+        rep = tower_consistency(hi, lo, samples=samples, seed=seed)
+        assert rep == tower_consistency_by_tuple_at(hi, lo, samples=samples, seed=seed)
+        assert rep.passed and rep.pairs_checked == (samples or hi.order**2)
+
+
+def test_tower_chunk_tables_stay_within_the_limit(monkeypatch):
+    sizes = []
+    product = itertools.product
+
+    def recording(*iterables, repeat=1):
+        sizes.append(len(iterables[0]) ** repeat)
+        return product(*iterables, repeat=repeat)
+
+    monkeypatch.setattr(quotients.itertools, "product", recording)
+    limit = quotients._CHUNK_TABLE_LIMIT
+    for samples in (1, 3, 1100):
+        for p in (2, 3, 5, 7, 61, 67, 65537):
+            for level in (3, 8, 13, 30) + ((201,) if samples < 1100 else ()):
+                sizes.clear()
+                G = SimpleNamespace(p=p, na=level - 1, order=p ** (2 * (level - 1)))
+                pairs = list(quotients._sampled_pairs(G, samples, level))
+                assert pairs == _projected_draws(G, samples, level), (samples, p, level)
+                assert all(n <= min(limit, 4 * samples) for n in sizes), (samples, p, level)
+    sizes.clear()
+    next(quotients._sampled_pairs(SimpleNamespace(p=2, na=29, order=2**58), 1100, 0))
+    assert sizes == [2**5, limit]  # 29 digits: a top chunk of 5 and two chunks of 12
+
+
+def test_tower_check_names_a_late_corrupted_pair(monkeypatch):
+    law = QuotientGroup.mul
+    hi, lo = QuotientGroup(3, 10), QuotientGroup(3, 9)
+    ex_hi, ex_lo = QuotientGroup(2, 3), QuotientGroup(2, 2)
+    late = list(tuple_at_draws(hi, 3000, 5))[-1]  # the 3000th sampled pair at seed 5
+    elems = list(ex_hi.iter_elements())
+    bad = {(hi,) + late, (ex_hi, elems[12], elems[7])}  # exhaustive pair 12 * 16 + 8
+
+    def corrupted(self, x, y):
+        out = law(self, x, y)
+        if (self, x, y) in bad:
+            return out[:-2] + ((out[-2] + 1) % self.p, out[-1])  # moves the projected top b
+        return out
+
+    monkeypatch.setattr(QuotientGroup, "mul", corrupted)
+    for args, pairs, mode in (((hi, lo, 4000, 5), 3000, "sampled"), ((ex_hi, ex_lo), 200, "exhaustive")):
+        rep = tower_consistency(*args)
+        assert rep == tower_consistency_by_tuple_at(*args)
+        assert (rep.passed, rep.pairs_checked, rep.mode, rep.surjective) == (False, pairs, mode, True)
 
 
 def test_generation_report_counts_kept_generators():

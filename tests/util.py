@@ -1,6 +1,7 @@
 """Seeded builders and brute-force reference engines shared by the suite."""
 
 import itertools
+import random
 from collections import deque
 from fractions import Fraction
 from math import lcm
@@ -13,6 +14,7 @@ from riordan import (
     NottSeries,
     RiordanElem,
     SumsetReport,
+    TowerReport,
     TruncSeries,
     UnitSeries,
     Violation,
@@ -21,6 +23,7 @@ from riordan import (
     verify_violation,
 )
 from riordan.index_sets import _reversal, _shift_check, sumset_certification_bound
+from riordan.quotients import _tuple_at
 from riordan.series import _mul_coeffs, _powers, require_within_cap
 
 
@@ -126,6 +129,49 @@ def mul_by_loops(G, x, y):
             for k in range(j, L + 1):
                 gacc[k] += c * pj[k]
     return h[1:L] + tuple(c % p for c in gacc[2 : L + 1])
+
+
+# Tower-check reference: the loops tower_consistency ran before its chunk
+# tables, one _tuple_at decode (one divmod per digit) per drawn tuple and one
+# projection per product.
+
+def tuple_at_draws(G, samples, seed):
+    """The seeded (x, y) pairs of a sampled tower check on G, x drawn first."""
+    rng = random.Random(seed)
+    p, order, width = G.p, G.order, 2 * G.na
+    for _ in range(samples):
+        x = _tuple_at(rng.randrange(order), p, width)
+        y = _tuple_at(rng.randrange(order), p, width)
+        yield x, y
+
+
+def tower_consistency_by_tuple_at(G_hi, G_lo, samples=None, seed=0):
+    """tower_consistency on consecutive levels of one prime, decoding per digit."""
+    na_hi, na_lo = G_hi.na, G_lo.na
+
+    def proj(x):
+        return x[:na_lo] + x[na_hi : na_hi + na_lo]
+
+    def pad(x):
+        return x[:na_lo] + (0,) + x[na_lo:] + (0,)
+
+    if proj(G_hi.identity) != G_lo.identity:
+        return TowerReport(False, 0, "exhaustive", False)
+    labels = tuple(range(2 * na_lo))
+    surjective = proj(pad(labels)) == labels
+    if samples is None:
+        elems = list(G_hi.iter_elements())
+        pairs = 0
+        for x in elems:
+            for y in elems:
+                pairs += 1
+                if proj(G_hi.mul(x, y)) != G_lo.mul(proj(x), proj(y)):
+                    return TowerReport(False, pairs, "exhaustive", surjective)
+        return TowerReport(surjective, pairs, "exhaustive", surjective)
+    for k, (x, y) in enumerate(tuple_at_draws(G_hi, samples, seed)):
+        if proj(G_hi.mul(x, y)) != G_lo.mul(proj(x), proj(y)):
+            return TowerReport(False, k + 1, "sampled", surjective)
+    return TowerReport(surjective, samples, "sampled", surjective)
 
 
 # Exhaustive closure reference, written independently of the coset walk:
