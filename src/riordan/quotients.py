@@ -25,8 +25,8 @@ series.require_within_cap before it starts.  The whole quotient is the
 closure of its coordinate generators, which keeps three of them (four at
 p = 2 from level 7 on), and every product in the engine takes its left
 factor from a small fixed set (the basis, the stored squares of its
-inverses, the inverse powers its sifts built up to p = 13, and the
-conjugators), so the power cache hits.
+inverses, the inverse powers its sifts built up to p = _SIFT_MEMO_MAX_P,
+and the conjugators), so the power cache hits.
 
 Everything returned is immutable; closure work touches no shared mutable
 state beyond a per-group cache of packed substitution powers, bounded by
@@ -64,14 +64,13 @@ _POW_CACHE_LIMIT = 1024
 
 # The largest p at which each pc slot keeps every u^-e its sifts build.  A
 # kept power is a new left factor, so it costs one packed power table (the
-# time of about a dozen products at level 16); past p = 13 the exponents of
-# one slot rarely repeat often enough to repay that (break-even measured
-# between p = 13 and 17).
-_SIFT_MEMO_MAX_P = 13
+# time of about a dozen products at level 16); p = 5 and 7 gained, p = 17
+# and above lost, and p = 11 and 13 were not measured.
+_SIFT_MEMO_MAX_P = 7
 
-# Sampled tower checks decode each draw through tables of c-digit tuples;
-# p^c stays at most this many entries, whatever p, the level and the samples.
-_CHUNK_TABLE_LIMIT = 4096
+# Sampled tower checks read each part of a draw from a table of its p^na
+# tuples only when that table holds at most this many entries.
+_PART_TABLE_LIMIT = 4096
 
 
 class SubgroupHandle:
@@ -708,29 +707,13 @@ def _tuple_at(n, p, width):
     return tuple(t)
 
 
-def _part_reader(p, width, entries):
-    # n -> (t, t[:-1]) for t = _tuple_at(n, p, width), 0 <= n < p^width, with
-    # p^2 <= entries.  The digits come c >= 2 per divmod from a table of the
-    # p^c tuples of c digits, p^c at most entries, and the top chunk holds
-    # the 1..c digits left over.
-    c = 2
-    while c < width and p ** (c + 1) <= entries:
-        c += 1
-    rest = (width - 1) // c  # chunks below the top one
-    top = list(itertools.product(range(p), repeat=width - rest * c))
-    if not rest:
-        return [(t, t[:-1]) for t in top].__getitem__
-    chunk, pc = list(itertools.product(range(p), repeat=c)), p**c
-
-    def read(n):
-        t = ()
-        for _ in range(rest):
-            n, d = divmod(n, pc)
-            t = chunk[d] + t
-        t = top[n] + t
-        return t, t[:-1]
-
-    return read
+def _part_table(p, width, samples):
+    # [(t, t[:-1]) for t = _tuple_at(n, p, width)], indexed by n; None when
+    # its p^width entries exceed _PART_TABLE_LIMIT or the 4 * samples parts
+    # the pairs read.
+    if p**width > min(_PART_TABLE_LIMIT, 4 * samples):
+        return None
+    return [(t, t[:-1]) for t in itertools.product(range(p), repeat=width)]
 
 
 @dataclass(frozen=True)
@@ -741,27 +724,25 @@ class TowerReport:
     surjective: bool
 
 
-def _sampled_pairs(G, samples, seed):
+def _sampled_pairs(G, samples, seed, proj):
     # (x, proj(x), y, proj(y)) for seeded x, y: each tuple the base-p digits
     # of one draw from range(order), x drawn first; proj drops the last digit
-    # of the a-part and of the b-part.  A table holds no more entries than
-    # the 4 * samples parts the pairs read, nor than _CHUNK_TABLE_LIMIT.
-    # When p^2 entries fit, a draw splits at p^na into its a-part and b-part
-    # and each part is read from the tables; otherwise every digit costs one
-    # divmod.
+    # of the a-part and of the b-part.  When the part table fits, a draw
+    # splits at p^na into its a-part and b-part, each read from the table
+    # with its last digit dropped; otherwise every digit costs one divmod.
     draw, order, p, na = random.Random(seed).randrange, G.order, G.p, G.na
-    entries = min(_CHUNK_TABLE_LIMIT, 4 * samples)
-    if p * p > entries:
+    table = _part_table(p, na, samples)
+    if table is None:
         for _ in range(samples):
             x = _tuple_at(draw(order), p, 2 * na)
             y = _tuple_at(draw(order), p, 2 * na)
-            yield x, x[: na - 1] + x[na:-1], y, y[: na - 1] + y[na:-1]
+            yield x, proj(x), y, proj(y)
         return
-    split, read = p**na, _part_reader(p, na, entries)
+    split = p**na
     for _ in range(samples):
         xa, xb = divmod(draw(order), split)
         ya, yb = divmod(draw(order), split)
-        (xa, pxa), (xb, pxb), (ya, pya), (yb, pyb) = read(xa), read(xb), read(ya), read(yb)
+        (xa, pxa), (xb, pxb), (ya, pya), (yb, pyb) = table[xa], table[xb], table[ya], table[yb]
         yield xa + xb, pxa + pxb, ya + yb, pya + pyb
 
 
@@ -804,13 +785,12 @@ def tower_consistency(G_hi, G_lo, samples=None, seed=0):
         elems = [(x, proj(x)) for x in G_hi.iter_elements()]
         quadruples = ((x, px, y, py) for x, px in elems for y, py in elems)
     else:
-        mode, quadruples = "sampled", _sampled_pairs(G_hi, samples, seed)
+        mode, quadruples = "sampled", _sampled_pairs(G_hi, samples, seed, proj)
     mul_hi, mul_lo = G_hi.mul, G_lo.mul
     pairs = 0
     for x, px, y, py in quadruples:
         pairs += 1
-        z = mul_hi(x, y)
-        if z[:na_lo] + z[na_hi : na_hi + na_lo] != mul_lo(px, py):
+        if proj(mul_hi(x, y)) != mul_lo(px, py):
             return TowerReport(False, pairs, mode, surjective)
     return TowerReport(surjective, pairs, mode, surjective)
 

@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from types import SimpleNamespace
 
 import pytest
 
@@ -491,13 +490,18 @@ def _projected_draws(G, samples, seed):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 65537, 10**6 + 3])
 def test_sampled_pairs_are_the_tuple_at_draws(p):
-    # single-chunk, multi-chunk and per-digit decoding; 997 samples is a
-    # count that is no multiple of any chunk width
+    # table and per-digit decoding; 997 samples is a count that is no power
+    # of p, so no table fills exactly 4 * samples
     for level in (3, 4, 5, 8, 13, 14, 30):
         G = QuotientGroup(p, level)
+        lo = G.na - 1
+
+        def proj(x):
+            return x[:lo] + x[G.na : G.na + lo]
+
         for samples in (1, 997) + ((4000,) if level in (5, 30) else ()):
             seed = level * samples
-            pairs = list(quotients._sampled_pairs(G, samples, seed))
+            pairs = list(quotients._sampled_pairs(G, samples, seed, proj))
             assert pairs == _projected_draws(G, samples, seed), (p, level, samples)
 
 
@@ -515,27 +519,27 @@ def test_tower_reports_match_the_tuple_at_reference():
         assert rep.passed and rep.pairs_checked == (samples or hi.order**2)
 
 
-def test_tower_chunk_tables_stay_within_the_limit(monkeypatch):
-    sizes = []
-    product = itertools.product
-
-    def recording(*iterables, repeat=1):
-        sizes.append(len(iterables[0]) ** repeat)
-        return product(*iterables, repeat=repeat)
-
-    monkeypatch.setattr(quotients.itertools, "product", recording)
-    limit = quotients._CHUNK_TABLE_LIMIT
-    for samples in (1, 3, 1100):
-        for p in (2, 3, 5, 7, 61, 67, 65537):
-            for level in (3, 8, 13, 30) + ((201,) if samples < 1100 else ()):
-                sizes.clear()
-                G = SimpleNamespace(p=p, na=level - 1, order=p ** (2 * (level - 1)))
-                pairs = list(quotients._sampled_pairs(G, samples, level))
-                assert pairs == _projected_draws(G, samples, level), (samples, p, level)
-                assert all(n <= min(limit, 4 * samples) for n in sizes), (samples, p, level)
-    sizes.clear()
-    next(quotients._sampled_pairs(SimpleNamespace(p=2, na=29, order=2**58), 1100, 0))
-    assert sizes == [2**5, limit]  # 29 digits: a top chunk of 5 and two chunks of 12
+def test_tower_part_tables_stay_within_the_limit():
+    limit = quotients._PART_TABLE_LIMIT
+    for samples in (1, 3, 20, 1100, 10**6):
+        for p in (2, 3, 5, 7, 61, 65537, 10**6 + 3):
+            for width in (1, 2, 4, 12, 13, 29):
+                table = quotients._part_table(p, width, samples)
+                if table is not None:
+                    assert len(table) <= min(limit, 4 * samples), (samples, p, width)
+                    decoded = [quotients._tuple_at(n, p, width) for n in range(p**width)]
+                    assert table == [(t, t[:-1]) for t in decoded]
+    sizes = {
+        (p, width, samples): quotients._part_table(p, width, samples)
+        for p, width, samples in [(3, 4, 4000), (3, 4, 21), (3, 4, 20), (2, 12, 1100), (2, 13, 10**6)]
+    }
+    assert {k: v and len(v) for k, v in sizes.items()} == {
+        (3, 4, 4000): 81,  # the (3,5) tower of the benchmark
+        (3, 4, 21): 81,
+        (3, 4, 20): None,  # more entries than the 80 parts the pairs read
+        (2, 12, 1100): limit,
+        (2, 13, 10**6): None,  # past the limit, whatever the samples
+    }
 
 
 def test_tower_check_names_a_late_corrupted_pair(monkeypatch):

@@ -131,7 +131,7 @@ def mul_by_loops(G, x, y):
     return h[1:L] + tuple(c % p for c in gacc[2 : L + 1])
 
 
-# Tower-check reference: the loops tower_consistency ran before its chunk
+# Tower-check reference: the loops tower_consistency ran before its part
 # tables, one _tuple_at decode (one divmod per digit) per drawn tuple and one
 # projection per product.
 
