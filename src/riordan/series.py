@@ -15,6 +15,8 @@ and require_within_cap, the one place that refuses an enumeration past it.
 from __future__ import annotations
 
 import os
+import sys
+from array import array
 from operator import index as _as_int
 
 DEFAULT_MAX_ELEMENTS = 1 << 20
@@ -133,9 +135,52 @@ def _require_match(a, b):
 
 # Coefficient kernels.  These work on plain tuples/lists so the quotient-group
 # code can reuse them without building series objects; mod is a prime or None.
+# Over F_p every coefficient passed in must already be a residue in [0, p).
+#
+# Over F_p the kernels multiply by Kronecker substitution: coefficient k of an
+# operand sits in byte-aligned slot k of one int, so packing (an array read by
+# int.from_bytes), the product and unpacking (memoryview.cast) run in C.  For
+# operands of length n with residues in [0, p), each product slot below n sums
+# at most n terms of at most (p-1)^2, so the smallest slot of 2, 4 or 8 bytes
+# holding n (p-1)^2 never overflows and each slot is the exact integer
+# coefficient.  Z, and p too large for any slot (beyond about 2^30), keep the
+# coefficient loops; so do big-endian hosts, whose array items are not
+# little-endian slots.
+_SLOTS = tuple((code, array(code).itemsize) for code in "HIQ") if sys.byteorder == "little" else ()
+
+# Reversion inverts the power table from this length on and runs the online
+# loop below it.  The two tie near length 24; at 32, quotient inverses up to
+# level 30 (length 31) keep the loop.
+_REVERSION_TABLE_MIN_N = 32
+
+
+def _slot(n, mod):
+    # The smallest slot (array code, bytes) with n (mod-1)^2 < 2^(8 bytes), or None.
+    if mod is None:
+        return None
+    top = n * (mod - 1) ** 2
+    for code, size in _SLOTS:
+        if top < 1 << 8 * size:
+            return code, size
+    return None
+
+
+def _pack(coeffs, code):
+    return int.from_bytes(array(code, coeffs), "little")
+
+
+def _unpack(v, n, code, size, mod):
+    # Slots 0..n-1 of v reduced mod p; v must be below 2^(8 size n).
+    return [c % mod for c in memoryview(v.to_bytes(n * size, "little")).cast(code)]
+
 
 def _mul_coeffs(a, b, mod):
     n = len(a)
+    slot = _slot(n, mod)
+    if slot:
+        code, size = slot
+        v = _pack(a, code) * _pack(b, code) & ((1 << 8 * size * n) - 1)
+        return tuple(_unpack(v, n, code, size, mod))
     out = [0] * n
     for i in range(n):
         ai = a[i]
@@ -169,9 +214,22 @@ def _powers(g, mod, first=None):
     # 0 so truncation commutes with substitution; row j then starts at x^j.
     if g[0]:
         raise ValueError("substituted series must have zero constant term")
-    pw = [tuple(first) if first is not None else (1,) + (0,) * (len(g) - 1)]
-    for _ in range(len(g) - 1):
-        pw.append(_mul_coeffs(pw[-1], g, mod))
+    n = len(g)
+    pw = [tuple(first) if first is not None else (1,) + (0,) * (n - 1)]
+    slot = _slot(n, mod)
+    if slot is None:
+        for _ in range(n - 1):
+            pw.append(_mul_coeffs(pw[-1], g, mod))
+        return tuple(pw)
+    # Row j is x^j t_j with t_j = t_{j-1} * (g/x) cut to n - j slots, so g/x
+    # is packed once and each reduced t_j once.
+    code, size = slot
+    bits = 8 * size
+    gv, v = _pack(g[1:], code), _pack(pw[0], code)
+    for j in range(1, n):
+        t = _unpack(v * gv & ((1 << bits * (n - j)) - 1), n - j, code, size, mod)
+        pw.append((0,) * j + tuple(t))
+        v = _pack(t, code)
     return tuple(pw)
 
 
@@ -188,10 +246,14 @@ def _subst(f, pw, mod):
 
 
 def _reversion(g, mod):
-    # The power table of r with g(r) = x, for g = (0, 1, b2, ...).  [x^m] r^j
-    # for j >= 2 needs only r_1..r_{m-1}: convolve column m of r^2..r^m first,
-    # then r_m = -sum_{j>=2} b_j [x^m] r^j.  No division, so exact over F_p and Z.
+    # The power table of r with g(r) = x, for g = (0, 1, b2, ...).
     n = len(g)
+    slot = _slot(n, mod) if n >= _REVERSION_TABLE_MIN_N else None
+    if slot:
+        return _reversion_by_table(g, mod, *slot)
+    # [x^m] r^j for j >= 2 needs only r_1..r_{m-1}: convolve column m of
+    # r^2..r^m first, then r_m = -sum_{j>=2} b_j [x^m] r^j.  No division, so
+    # exact over F_p and Z.
     pw = [[0] * n for _ in range(n)]
     r = pw[1]
     pw[0][0] = r[1] = 1
@@ -208,6 +270,29 @@ def _reversion(g, mod):
                 s += g[j] * c
         r[m] = -s if mod is None else -s % mod
     return tuple(tuple(row) for row in pw)
+
+
+def _reversion_by_table(g, mod, code, size):
+    # The power table A of g is unitriangular, and sum_k A[j][k] r^k =
+    # g^j(r) = x^j, so the power table of r is A^-1: from the last row up,
+    # R[j] = x^j + sum_{k>j} (p - A[j][k]) R[k] mod p, each R[k] a packed
+    # reduced row.  Slot m > j of the sum adds at most n - 1 terms of at most
+    # (p-1)^2 and slot j holds 1, so the slot of _slot(n, p) holds it exactly.
+    n = len(g)
+    A = _powers(g, mod)
+    packed = [0] * n
+    rows = [None] * n
+    for j in range(n - 1, -1, -1):
+        aj = A[j]
+        acc = 1 << 8 * size * j
+        for k in range(j + 1, n):
+            c = aj[k]
+            if c:
+                acc += (mod - c) * packed[k]
+        row = _unpack(acc, n, code, size, mod)
+        packed[j] = _pack(row, code)
+        rows[j] = tuple(row)
+    return tuple(rows)
 
 
 class TruncSeries:

@@ -24,7 +24,7 @@ from riordan import (
     rmul,
     to_matrix,
 )
-from util import rand_elem, rand_nott, rand_unit
+from util import powers_by_loops, rand_elem, rand_nott, rand_unit
 
 F2 = CoeffRing(2)
 F3 = CoeffRing(3)
@@ -115,6 +115,16 @@ def test_to_matrix_identity_and_pascal():
         for i in range(size):
             for j in range(size):
                 assert mat[i, j] == ring.reduce(math.comb(i, j))
+
+
+def test_to_matrix_columns_match_the_looped_power_table():
+    # column j is row j of the power table of g started at h (its first= row)
+    rng = random.Random(1414)
+    for ring in (F2, F5, CoeffRing(65537), CoeffRing(10**6 + 3), CoeffRing(10**18 + 3), ZZ):
+        a = rand_elem(rng, ring, 40)
+        for m in (1, 2, 13, 32, 41):
+            cols = powers_by_loops(a.g.coeffs[:m], ring.p, first=a.h.coeffs[:m])
+            assert to_matrix(a, m).entries == tuple(zip(*cols)), (ring, m)
 
 
 def test_to_matrix_is_a_homomorphism():

@@ -1,5 +1,6 @@
 """Series kernels: pinned values, ring axioms, and the coefficient identities."""
 
+import itertools
 import math
 import random
 
@@ -20,8 +21,26 @@ from riordan import (
     poly_str,
     twist,
 )
-from riordan.series import _MR_LIMIT, _is_prime, _powers, _reversion, _subst
-from util import horner_compose, rand_nott, rand_series, rand_unit, reversion_by_degree
+from riordan import series
+from riordan.series import (
+    _MR_LIMIT,
+    _is_prime,
+    _mul_coeffs,
+    _powers,
+    _reversion,
+    _slot,
+    _subst,
+)
+from util import (
+    horner_compose,
+    mul_coeffs_by_loops,
+    powers_by_loops,
+    rand_nott,
+    rand_series,
+    rand_unit,
+    reversion_by_degree,
+    reversion_online,
+)
 
 F2 = CoeffRing(2)
 F3 = CoeffRing(3)
@@ -277,6 +296,84 @@ def test_kernels_match_sympy_ring_series(p):
         assert comp_inverse(g).coeffs == coeffs(want, trunc)
         want = ring_series.rs_subs(poly(f), {x: poly(g)}, x, trunc + 1)
         assert compose(f, g).coeffs == coeffs(want, trunc)
+
+
+# The packed F_p kernels against the coefficient loops they replaced, kept in
+# tests/util.py.  All-(p-1) operands fill every product slot to its bound.
+
+def _residues(rng, mod, n):
+    if mod is None:
+        return tuple(rng.randrange(-9, 10) for _ in range(n))
+    return tuple(rng.randrange(mod) for _ in range(n))
+
+
+def _check_kernels(rng, mod, n):
+    top = (mod - 1,) * n if mod is not None else (-9,) * n
+    for a, b in ((_residues(rng, mod, n), _residues(rng, mod, n)), (top, top)):
+        assert _mul_coeffs(a, b, mod) == mul_coeffs_by_loops(a, b, mod), (mod, n)
+        g = (0,) + b[1:]
+        assert _powers(g, mod) == powers_by_loops(g, mod), (mod, n)
+        assert _powers(g, mod, first=a) == powers_by_loops(g, mod, first=a), (mod, n)
+        if n >= 2:
+            g = (0, 1) + b[2:]
+            assert _reversion(g, mod) == reversion_online(g, mod), (mod, n)
+
+
+@pytest.mark.parametrize("mod", (2, 3, 5, 7, 65537, 10**6 + 3, 10**18 + 3, None))
+def test_packed_kernels_match_the_loops(mod):
+    rng = random.Random(1400 + (mod or 0) % 997)
+    for n in range(1, 131):
+        a, b = _residues(rng, mod, n), _residues(rng, mod, n)
+        assert _mul_coeffs(a, b, mod) == mul_coeffs_by_loops(a, b, mod), n
+    # every length up to past the reversion crossover at 32, then a few long ones
+    lengths = list(range(1, 41)) + [64, 97, 130]
+    for n in lengths if mod is not None else lengths[:-2]:
+        _check_kernels(rng, mod, n)
+
+
+def _slot_edges(bits):
+    # (p, n, inside): for n = 20 and 40, the largest prime p with
+    # n (p-1)^2 < 2^bits and the least prime past it; at that p, the longest
+    # n inside the limit and the next n.  The Fermat primes 257 and 65537 hit
+    # the limit exactly at n = 1.
+    limit = 1 << bits
+    edges = [(p, 1, False) for p in (257, 65537) if (p - 1) ** 2 == limit]
+    for n in (20, 40):
+        q = math.isqrt((limit - 1) // n) + 1
+        p_in = next(p for p in range(q, 1, -1) if _is_prime(p))
+        p_out = next(p for p in itertools.count(q + 1) if _is_prime(p))
+        n_max = (limit - 1) // (p_in - 1) ** 2
+        edges += [(p_in, n, True), (p_out, n, False), (p_in, n_max, True), (p_in, n_max + 1, False)]
+    return edges
+
+
+@pytest.mark.parametrize("bits", (16, 32, 64))
+def test_packed_kernels_at_the_slot_limits(bits):
+    rng = random.Random(bits)
+    for p, n, inside in _slot_edges(bits):
+        assert (n * (p - 1) ** 2 < 1 << bits) == inside
+        slot = _slot(n, p)
+        if inside:
+            assert slot[1] * 8 == bits
+        else:
+            assert slot is None if bits == 64 else slot[1] * 8 > bits
+        _check_kernels(rng, p, n)
+
+
+def test_reversion_solves_the_table_from_length_32(monkeypatch):
+    calls = []
+    by_table = series._reversion_by_table
+
+    def recording(g, mod, code, size):
+        calls.append(len(g))
+        return by_table(g, mod, code, size)
+
+    monkeypatch.setattr(series, "_reversion_by_table", recording)
+    for n in (2, 31, 32, 33):
+        for mod in (3, 10**18 + 3, None):
+            g = (0, 1) + (1,) * (n - 2)
+            assert _reversion(g, mod) == reversion_online(g, mod)
+    assert calls == [32, 33]
 
 
 def test_truncation_coherence():

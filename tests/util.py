@@ -24,7 +24,7 @@ from riordan import (
 )
 from riordan.index_sets import _reversal, _shift_check, sumset_certification_bound
 from riordan.quotients import _tuple_at
-from riordan.series import _mul_coeffs, _powers, require_within_cap
+from riordan.series import require_within_cap
 
 
 def rand_coeff(rng, ring):
@@ -102,6 +102,56 @@ def reversion_by_degree(g, mod):
     return tuple(r)
 
 
+# Series-kernel references: the coefficient loops the library ran before its
+# packed F_p kernels, for any ring and any integer inputs.
+
+def mul_coeffs_by_loops(a, b, mod):
+    """The truncated product of two coefficient sequences of equal length."""
+    n = len(a)
+    out = [0] * n
+    for i in range(n):
+        ai = a[i]
+        if ai:
+            for j in range(n - i):
+                bj = b[j]
+                if bj:
+                    out[i + j] += ai * bj
+    if mod is None:
+        return tuple(out)
+    return tuple(c % mod for c in out)
+
+
+def powers_by_loops(g, mod, first=None):
+    """The table first * g^j for j = 0..N, one looped product per row."""
+    if g[0]:
+        raise ValueError("substituted series must have zero constant term")
+    pw = [tuple(first) if first is not None else (1,) + (0,) * (len(g) - 1)]
+    for _ in range(len(g) - 1):
+        pw.append(mul_coeffs_by_loops(pw[-1], g, mod))
+    return tuple(pw)
+
+
+def reversion_online(g, mod):
+    """The power table of r with g(r) = x, solved column by column."""
+    n = len(g)
+    pw = [[0] * n for _ in range(n)]
+    r = pw[1]
+    pw[0][0] = r[1] = 1
+    for m in range(2, n):
+        s = 0
+        for j in range(2, m + 1):
+            prev = pw[j - 1]
+            c = 0
+            for i in range(j - 1, m):
+                if prev[i]:
+                    c += prev[i] * r[m - i]
+            pw[j][m] = c = c if mod is None else c % mod
+            if g[j]:
+                s += g[j] * c
+        r[m] = -s if mod is None else -s % mod
+    return tuple(tuple(row) for row in pw)
+
+
 # Quotient-law reference: the coefficient loops the library used before the
 # packed-integer law, with the power table rebuilt on every call.
 
@@ -109,7 +159,7 @@ def mul_by_loops(G, x, y):
     """The quotient law of G on coordinate tuples: substitute x's g into both components of y."""
     p, na, L = G.p, G.na, G.level
     # powers g_x^0..g_x^L
-    pows = _powers((0, 1) + x[na:], p)
+    pows = powers_by_loops((0, 1) + x[na:], p)
     # h-part: h_x * h_y(g_x)
     acc = list(pows[0])
     for i in range(1, L):
@@ -119,7 +169,7 @@ def mul_by_loops(G, x, y):
             for k in range(i, L + 1):
                 acc[k] += c * pi[k]
     hx = (1,) + x[:na] + (0,)
-    h = _mul_coeffs(hx, tuple(acc), p)
+    h = mul_coeffs_by_loops(hx, tuple(acc), p)
     # g-part: g_x + sum_j y_bj * g_x^j
     gacc = list(pows[1])
     for j in range(2, L + 1):
