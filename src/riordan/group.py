@@ -16,10 +16,13 @@ Subgroup structure used throughout: H^m pairs (h in H^m, g = x), N^n pairs
 
 from __future__ import annotations
 
+from operator import index as _as_int
+
 from .series import (
     CoeffRing,
     NottSeries,
     UnitSeries,
+    _compose,
     _inv_unit_coeffs,
     _mul_coeffs,
     _powers,
@@ -72,14 +75,13 @@ class RiordanElem:
 
 
 def rmul(a, b):
-    """The group product (a.h * b.h(a.g), b.g(a.g)), from one power table of a.g."""
+    """The group product (a.h * b.h(a.g), b.g(a.g)), both substitutions in one _compose."""
     if not isinstance(a, RiordanElem) or not isinstance(b, RiordanElem):
         raise TypeError("rmul expects two Riordan elements")
     _require_match(a.h, b.h)
     ring, mod = a.ring, a.ring.p
-    pw = _powers(a.g.coeffs, mod)
-    h = _mul_coeffs(a.h.coeffs, _subst(b.h.coeffs, pw, mod), mod)
-    return RiordanElem(UnitSeries(ring, h), NottSeries(ring, _subst(b.g.coeffs, pw, mod)))
+    h, g = _compose((b.h.coeffs, b.g.coeffs), a.g.coeffs, mod)
+    return RiordanElem(UnitSeries(ring, _mul_coeffs(a.h.coeffs, h, mod)), NottSeries(ring, g))
 
 
 def rinv(a):
@@ -100,14 +102,14 @@ class RiordanMatrix:
     def __init__(self, ring, entries):
         if not isinstance(ring, CoeffRing):
             raise TypeError("ring must be a CoeffRing")
-        rows = tuple(tuple(ring.reduce(c) for c in row) for row in entries)
+        rows = tuple(map(ring.reduce_all, entries))
         m = len(rows)
         if m == 0 or any(len(row) != m for row in rows):
             raise ValueError("matrix must be square and nonempty")
         for i, row in enumerate(rows):
             if row[i] != 1:
                 raise ValueError(f"diagonal entry ({i},{i}) must be 1")
-            if any(row[j] for j in range(i + 1, m)):
+            if any(row[i + 1 :]):
                 raise ValueError(f"row {i} has entries above the diagonal")
         self.ring = ring
         self.entries = rows
@@ -170,21 +172,20 @@ def to_matrix(a, m):
     """
     if not isinstance(a, RiordanElem):
         raise TypeError("to_matrix expects a Riordan element")
-    m = int(m)
+    m = _as_int(m)
     if m < 1:
         raise ValueError("matrix size must be >= 1")
     if m - 1 > a.trunc:
         raise ValueError(f"size {m} needs truncation >= {m - 1}, have {a.trunc}")
     cols = _powers(a.g.coeffs[:m], a.ring.p, first=a.h.coeffs[:m])
-    rows = [[cols[j][i] for j in range(m)] for i in range(m)]
-    return RiordanMatrix(a.ring, rows)
+    return RiordanMatrix(a.ring, zip(*cols))
 
 
 def band_membership(a, n):
     """Whether a lies in H^n semidirect N^n, tested on series coefficients."""
     if not isinstance(a, RiordanElem):
         raise TypeError("band_membership expects a Riordan element")
-    n = int(n)
+    n = _as_int(n)
     if n < 1:
         raise ValueError("band level must be >= 1")
     if a.trunc < n:
@@ -201,7 +202,7 @@ def matrix_band_zero(mat, n):
     """
     if not isinstance(mat, RiordanMatrix):
         raise TypeError("matrix_band_zero expects a RiordanMatrix")
-    n = int(n)
+    n = _as_int(n)
     if n < 1:
         raise ValueError("band level must be >= 1")
     m = mat.size
@@ -221,9 +222,9 @@ def conj_in_subgroup(outer, inner, m1, n1, m2, n2):
     the return value exists so property tests can assert exactly that.
     """
     for name, v in (("m1", m1), ("n1", n1), ("m2", m2), ("n2", n2)):
-        if int(v) < 1:
+        if _as_int(v) < 1:
             raise ValueError(f"{name} must be >= 1")
-    m1, n1, m2, n2 = int(m1), int(n1), int(m2), int(n2)
+    m1, n1, m2, n2 = _as_int(m1), _as_int(n1), _as_int(m2), _as_int(n2)
     if not (m2 + n1 >= m1 >= m2 and n1 >= n2):
         raise ValueError(
             f"normality constraint violated: need m2+n1 >= m1 >= m2 and n1 >= n2, "

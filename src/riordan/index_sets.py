@@ -85,9 +85,10 @@ class IndexSet:
             raise ValueError("threshold must be >= 0")
         if m < 1:
             raise ValueError("period must be >= 1")
-        res = frozenset(map(int, residues))
+        res = list(map(int, residues))
         if res and (min(res) < 0 or max(res) >= m):
             raise ValueError("residues must lie in [0, period)")
+        res = frozenset(res)
         exc = set(map(int, exceptional))
         if exc and (min(exc) < 1 or max(exc) >= t):
             raise ValueError("exceptional members must lie in [1, threshold)")
@@ -106,7 +107,7 @@ class IndexSet:
                     g //= q
                     d //= q
         if d < m:
-            m, res = d, frozenset(r % d for r in res)
+            m, res = d, frozenset(map(d.__rmod__, res))
         # minimal threshold: absorb the boundary point b while it already
         # follows the residue rule.  A run of points that are neither
         # exceptional nor in a class is absorbed at once, down to one above

@@ -17,7 +17,12 @@ from __future__ import annotations
 import os
 import sys
 from array import array
+from functools import partial
+from itertools import compress, repeat
+from math import isqrt
+from operator import add, lshift
 from operator import index as _as_int
+from operator import mul as _int_mul
 
 DEFAULT_MAX_ELEMENTS = 1 << 20
 
@@ -110,6 +115,11 @@ class CoeffRing:
             return c
         return c % self.p
 
+    def reduce_all(self, cs):
+        """The tuple of reduce(c) for c in cs, with no Python call per coefficient."""
+        cs = tuple(map(_as_int, cs))
+        return cs if self.p is None else tuple(map(self.p.__rmod__, cs))
+
     def __eq__(self, other):
         return isinstance(other, CoeffRing) and self.p == other.p
 
@@ -137,16 +147,37 @@ def _require_match(a, b):
 # code can reuse them without building series objects; mod is a prime or None.
 # Over F_p every coefficient passed in must already be a residue in [0, p).
 #
-# Over F_p the kernels multiply by Kronecker substitution: coefficient k of an
-# operand sits in byte-aligned slot k of one int, so packing (an array read by
-# int.from_bytes), the product and unpacking (memoryview.cast) run in C.  For
-# operands of length n with residues in [0, p), each product slot below n sums
-# at most n terms of at most (p-1)^2, so the smallest slot of 2, 4 or 8 bytes
-# holding n (p-1)^2 never overflows and each slot is the exact integer
-# coefficient.  Z, and p too large for any slot (beyond about 2^30), keep the
-# coefficient loops; so do big-endian hosts, whose array items are not
-# little-endian slots.
+# Products and substitutions run on packed integers (Kronecker substitution):
+# coefficient k of an operand sits in byte-aligned slot k of one int, so
+# packing (an array or a bytes join read by int.from_bytes), the product and
+# unpacking (memoryview.cast, or int.from_bytes per slot) run in C.
+#
+# Over F_p, for operands of length n with residues in [0, p), each product
+# slot below n sums at most n terms of at most (p-1)^2, so the smallest slot
+# of 2, 4 or 8 bytes holding n (p-1)^2 never overflows and each slot is the
+# exact integer coefficient.  p too large for any slot (beyond about 2^30)
+# keeps the coefficient loops; so do big-endian hosts, whose array items are
+# not little-endian slots.
+#
+# Over Z the slots are signed.  A product of a and b of length n takes a slot
+# of W = bits(max|a|) + bits(max|b|) + bits(n) + 2 bits, rounded up to 2, 4 or
+# 8 bytes or else to whole bytes, so each product coefficient c has
+# |c| < 2^(W-2).  With L-byte slots an operand packs as sum c_k 2^(8Lk);
+# adding the bias sum 2^(8L-1) 2^(8Lk) and masking to n slots leaves
+# c_k + 2^(8L-1) in [0, 2^(8L)) in slot k, with no carry between slots, so
+# subtracting 2^(8L-1) from each slot decodes exactly.
+#
+# Reduction mod x^n followed by x -> 2^(8L) maps Z[x]/(x^n) into Z/2^(8Ln) as
+# a ring homomorphism, so a composition over Z runs on packed ints masked to
+# n slots (baby-step/giant-step composition, Brent and Kung, J. ACM 25 (1978)):
+# the baby steps g^0..g^(k-1) and the giant step g^k for k = isqrt(n), one
+# sum of baby steps per chunk of k coefficients of f, and a Horner pass in
+# g^k.  Intermediate values need no bound; only the result must fit its
+# slots, and _compose_width bounds it by Cauchy's estimate.  Reversion over Z
+# keeps its loop: neither the packed table inverse nor Lagrange inversion by
+# packed powers of x/g beat it at the lengths measured.
 _SLOTS = tuple((code, array(code).itemsize) for code in "HIQ") if sys.byteorder == "little" else ()
+_SIGNED_CODES = {array(code).itemsize: code for code in "hiq"} if sys.byteorder == "little" else {}
 
 # Reversion inverts the power table from this length on and runs the online
 # loop below it.  The two tie near length 24; at 32, quotient inverses up to
@@ -174,8 +205,63 @@ def _unpack(v, n, code, size, mod):
     return [c % mod for c in memoryview(v.to_bytes(n * size, "little")).cast(code)]
 
 
+def _bits(cs):
+    # bits(max |c|) over a nonempty sequence of ints.
+    return max(max(cs), -min(cs)).bit_length()
+
+
+def _signed_size(width):
+    # Bytes of a signed slot of at least width bits: 2, 4 or 8, else whole bytes.
+    size = max(-(-width // 8), 2)
+    for s in _SIGNED_CODES:
+        if size <= s:
+            return s
+    return size
+
+
+def _bias(n, size):
+    # The top bit of each of n slots: sum_{k<n} 2^(8 size - 1) 2^(8 size k).
+    return int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")
+
+
+def _spack(coeffs, size):
+    # sum_k c_k 2^(8 size k) for |c_k| < 2^(8 size - 1), through the biased
+    # slots c_k + 2^(8 size - 1): an array holds c_k in two's complement, and
+    # XOR with the bias adds 2^(8 size - 1) to each slot.
+    bias = _bias(len(coeffs), size)
+    code = _SIGNED_CODES.get(size)
+    if code:
+        v = int.from_bytes(array(code, coeffs), "little") ^ bias
+    else:
+        top = 1 << 8 * size - 1
+        v = int.from_bytes(
+            b"".join(map(int.to_bytes, map(add, coeffs, repeat(top)), repeat(size), repeat("little"))),
+            "little",
+        )
+    return v - bias
+
+
+_from_signed_bytes = partial(int.from_bytes, byteorder="little", signed=True)
+
+
+def _sunpack(v, n, size):
+    # The n signed slots of v mod 2^(8 size n), each of magnitude below
+    # 2^(8 size - 1): (v + bias) mod 2^(8 size n) holds c_k + 2^(8 size - 1)
+    # in slot k, and XOR with the bias leaves c_k in two's complement.
+    bias = _bias(n, size)
+    raw = (((v + bias) & ((1 << 8 * size * n) - 1)) ^ bias).to_bytes(n * size, "little")
+    code = _SIGNED_CODES.get(size)
+    if code:
+        return tuple(memoryview(raw).cast(code))
+    cuts = map(slice, range(0, n * size, size), range(size, (n + 1) * size, size))
+    return tuple(map(_from_signed_bytes, map(raw.__getitem__, cuts)))
+
+
 def _mul_coeffs(a, b, mod):
     n = len(a)
+    if mod is None:
+        size = _signed_size(_bits(a) + _bits(b) + n.bit_length() + 2)
+        return _sunpack(_spack(a, size) * _spack(b, size), n, size)
     slot = _slot(n, mod)
     if slot:
         code, size = slot
@@ -189,8 +275,6 @@ def _mul_coeffs(a, b, mod):
                 bj = b[j]
                 if bj:
                     out[i + j] += ai * bj
-    if mod is None:
-        return tuple(out)
     return tuple(c % mod for c in out)
 
 
@@ -216,13 +300,32 @@ def _powers(g, mod, first=None):
         raise ValueError("substituted series must have zero constant term")
     n = len(g)
     pw = [tuple(first) if first is not None else (1,) + (0,) * (n - 1)]
+    # Row j is x^j t_j with t_j = t_{j-1} * (g/x) cut to n - j slots.
+    if mod is None:
+        # Each row takes a signed slot from its own magnitudes.  While the
+        # slot size stays, the product masked to n - j slots is t_j packed
+        # (the packing is a ring homomorphism mod x^(n-j)), so a row is
+        # repacked only when the size grows; g/x is packed once per size.
+        gx, gbits, packed = g[1:], _bits(g), {}
+        t, size, v = pw[0], None, None
+        for j in range(1, n):
+            m = n - j
+            new = _signed_size(_bits(t) + gbits + m.bit_length() + 2)
+            if new != size:
+                size, v = new, _spack(t[:m], new)
+                if size not in packed:
+                    packed[size] = _spack(gx, size)
+            low = (1 << 8 * size * m) - 1
+            v = (v & low) * (packed[size] & low) & low
+            t = _sunpack(v, m, size)
+            pw.append((0,) * j + t)
+        return tuple(pw)
     slot = _slot(n, mod)
     if slot is None:
         for _ in range(n - 1):
             pw.append(_mul_coeffs(pw[-1], g, mod))
         return tuple(pw)
-    # Row j is x^j t_j with t_j = t_{j-1} * (g/x) cut to n - j slots, so g/x
-    # is packed once and each reduced t_j once.
+    # g/x is packed once and each reduced t_j once.
     code, size = slot
     bits = 8 * size
     gv, v = _pack(g[1:], code), _pack(pw[0], code)
@@ -243,6 +346,71 @@ def _subst(f, pw, mod):
             for k in range(j, n):
                 out[k] += c * row[k]
     return tuple(out) if mod is None else tuple(c % mod for c in out)
+
+
+def _compose(fs, g, mod):
+    # f(g) for each f in fs, all of g's length, g[0] = 0.  Over F_p: one power
+    # table of g and one _subst per f.  Over Z: baby and giant steps on
+    # packed ints mod 2^(8 size n), never building the table.
+    if mod is not None:
+        pw = _powers(g, mod)
+        return [_subst(f, pw, mod) for f in fs]
+    if g[0]:
+        raise ValueError("substituted series must have zero constant term")
+    n = len(g)
+    width = _compose_width(fs, g)
+    if width is None:
+        return [(0,) * n for _ in fs]
+    # g itself is packed, so its slots must hold it too.
+    size = _signed_size(max(width, _bits(g) + 2))
+    mask = (1 << 8 * size * n) - 1
+    k = isqrt(n)
+    gv = _spack(g, size)
+    baby = [1]
+    for _ in range(k - 1):
+        baby.append(baby[-1] * gv & mask)
+    giant = baby[-1] * gv & mask
+    # The result multiplies the Horner value at chunk c by g^c, so only that
+    # value mod x^(n-c) counts: a chunk's product is cut to n - c - k slots.
+    shift = 8 * size * k
+    giant >>= shift
+    out = []
+    for f in fs:
+        acc = 0
+        for c in range((n - 1) // k * k, -1, -k):
+            low = (1 << 8 * size * max(n - c - k, 0)) - 1
+            acc = ((acc & low) * (giant & low) & low) << shift
+            acc += sum(map(_int_mul, f[c : c + k], baby))
+        out.append(_sunpack(acc, n, size))
+    return out
+
+
+def _compose_width(fs, g):
+    # A width W with |[x^m] f(g)| < 2^(W-2) for every f in fs and m < n, or
+    # None when every f is 0.  For rho = 2^-s, Cauchy's estimate gives
+    # |[x^m] f(g)| <= sum_j |f_j| G^j / rho^m with G = sum_i |g_i| rho^i, and
+    # G < 2^e for e = bits(sum_i |g_i| 2^(s(n-1-i))) - s(n-1).  So the bound
+    # in bits is max_j (bits f_j + j e) + s(n-1) + bits(n), over the nonzero
+    # f_j, and W is 2 more than its least value over s.  Every s in 1..4 is
+    # tried, then larger s while the bound still falls (it is convex in s up
+    # to rounding), up to 4 + bits(max|g|): a g whose coefficients grow fast
+    # needs a small rho, and a bound that falls for ever means f(g) = 0.
+    n = len(g)
+    terms = [(list(compress(range(n), f)), list(map(int.bit_length, filter(None, f)))) for f in fs]
+    terms = [(js, bs) for js, bs in terms if js]
+    if not terms:
+        return None
+    absg = list(map(abs, g))
+    best = None
+    for s in range(1, 5 + _bits(g)):
+        top = s * (n - 1)
+        e = sum(map(lshift, absg, range(top, -1, -s))).bit_length() - top
+        bound = max(max(map(add, bs, map(_int_mul, js, repeat(e)))) for js, bs in terms) + top
+        if best is None or bound < best:
+            best = bound
+        elif s >= 4:
+            break
+    return best + n.bit_length() + 2
 
 
 def _reversion(g, mod):
@@ -307,7 +475,7 @@ class TruncSeries:
     def __init__(self, ring, coeffs):
         if not isinstance(ring, CoeffRing):
             raise TypeError("ring must be a CoeffRing")
-        cs = tuple(ring.reduce(c) for c in coeffs)
+        cs = ring.reduce_all(coeffs)
         if not cs:
             raise ValueError("a series needs at least its constant coefficient")
         self.ring = ring
@@ -453,8 +621,7 @@ def compose(f, g):
     if not isinstance(f, TruncSeries) or not isinstance(g, TruncSeries):
         raise TypeError("compose expects two series")
     _require_match(f, g)
-    mod = f.ring.p
-    return TruncSeries(f.ring, _subst(f.coeffs, _powers(g.coeffs, mod), mod))
+    return TruncSeries(f.ring, _compose((f.coeffs,), g.coeffs, f.ring.p)[0])
 
 
 def comp_inverse(g):

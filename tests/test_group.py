@@ -208,6 +208,27 @@ def test_conj_in_subgroup():
         conj_in_subgroup(e, inner, 1, 1, 2, 2)  # m1 < m2
 
 
+def test_sizes_and_levels_must_be_integers():
+    # As in the series layer (coeff(2.5), project(2.5)), a size or a level
+    # that is not an integer is refused instead of truncated or parsed.
+    a = RiordanElem.identity(F3, 6)
+    mat = to_matrix(a, 4)
+    for bad in (2.5, 3.0, "3"):
+        with pytest.raises(TypeError):
+            to_matrix(a, bad)
+        with pytest.raises(TypeError):
+            band_membership(a, bad)
+        with pytest.raises(TypeError):
+            matrix_band_zero(mat, bad)
+        for k in range(4):
+            levels = [1, 1, 1, 1]
+            levels[k] = bad
+            with pytest.raises(TypeError):
+                conj_in_subgroup(a, a, *levels)
+    assert band_membership(a, 2) and matrix_band_zero(mat, 3)
+    assert conj_in_subgroup(a, a, 1, 1, 1, 1)
+
+
 def test_unit_factor_is_normal():
     rng = random.Random(19)
     x = NottSeries.identity(F3, 9)

@@ -687,3 +687,18 @@ def test_parse_format_round_trip():
     ):
         with pytest.raises(ValueError):
             parse_index_set(bad)
+    # the fields convert in the order T, except, period, residues, and every
+    # conversion comes before the range checks
+    for bad, message in (
+        ("T=x; except=y; period=z; residues=w", "'x'"),
+        ("T=0; except=y; period=z; residues=w", "'y'"),
+        ("T=0; except=; period=z; residues=w", "'z'"),
+        ("T=-1; except=; period=0; residues=1,w", "'w'"),
+        ("T=-1; except=; period=0; residues=1", "threshold must be >= 0"),
+        ("T=0; except=; period=0; residues=1", "period must be >= 1"),
+        ("T=2; except=5; period=3; residues=3", r"residues must lie in \[0, period\)"),
+        ("T=2; except=5; period=3; residues= 1 , 2", r"exceptional members must lie in \[1, threshold\)"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            parse_index_set(bad)
+    assert parse_index_set("T=0; except=; period=3; residues= 1 , 2").residues == {1, 2}

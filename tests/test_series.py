@@ -21,9 +21,10 @@ from riordan import (
     poly_str,
     twist,
 )
-from riordan import series
+from riordan import RiordanElem, rmul, series, to_matrix
 from riordan.series import (
     _MR_LIMIT,
+    _compose,
     _is_prime,
     _mul_coeffs,
     _powers,
@@ -374,6 +375,98 @@ def test_reversion_solves_the_table_from_length_32(monkeypatch):
             g = (0, 1) + (1,) * (n - 2)
             assert _reversion(g, mod) == reversion_online(g, mod)
     assert calls == [32, 33]
+
+
+# Over Z the packed kernels against the same loops, with slots sized from
+# the operands: magnitudes 0 to 10^30, all signs, and the substitutions whose
+# width bound is special (f = 0, f constant, g = x, g negative past x).
+
+_MAGNITUDES = (0, 1, 2, 9, 10**30)
+
+
+def _z_draws(rng, n):
+    # (name, coefficients) for each magnitude, with signs mixed and all
+    # negative, and one draw mixing every magnitude.
+    for mag in _MAGNITUDES:
+        yield f"{mag}", tuple(rng.randint(-mag, mag) for _ in range(n))
+        yield f"-{mag}", (-mag,) * n
+    yield "mixed", tuple(rng.choice((-1, 1)) * rng.choice(_MAGNITUDES) for _ in range(n))
+
+
+def _z_substitutions(n, cs):
+    # g with zero constant term built from cs: as drawn, x + cs past x, x,
+    # and x minus |cs| past x.
+    yield (0,) + cs[1:]
+    if n >= 2:
+        yield (0, 1) + cs[2:]
+        yield (0, 1) + (0,) * (n - 2)
+        yield (0, 1) + tuple(-abs(c) or -1 for c in cs[2:])
+
+
+def test_z_products_match_the_loops():
+    rng = random.Random(1500)
+    for n in range(1, 131):
+        draws = dict(_z_draws(rng, n))
+        for name, a in draws.items():
+            b = draws[rng.choice(list(draws))]
+            assert _mul_coeffs(a, b, None) == mul_coeffs_by_loops(a, b, None), (n, name)
+            assert _mul_coeffs(a, a, None) == mul_coeffs_by_loops(a, a, None), (n, name)
+
+
+def _check_z_substitutions(rng, n):
+    draws = dict(_z_draws(rng, n))
+    fs = [(0,) * n, (rng.choice((-1, 1)) * 10**30,) + (0,) * (n - 1), (7,) + (0,) * (n - 1)]
+    for name, cs in draws.items():
+        f = draws[rng.choice(list(draws))]
+        for g in _z_substitutions(n, cs):
+            for h in fs + [f]:
+                assert _compose([h], g, None) == [horner_compose(h, g, None)], (n, name, g)
+            want = powers_by_loops(g, None, first=f)
+            assert _powers(g, None, first=f) == want, (n, name)
+            if n < 2 or g[1] != 1:
+                continue
+            # the group kernels on (h, g) pairs: h from f with constant term 1
+            hf = (1,) + f[1:]
+            a = RiordanElem(UnitSeries(ZZ, hf), NottSeries(ZZ, g))
+            b = RiordanElem(UnitSeries(ZZ, (1,) + cs[1:]), NottSeries(ZZ, (0, 1) + f[2:]))
+            ab = rmul(a, b)
+            assert ab.h.coeffs == mul_coeffs_by_loops(hf, horner_compose(b.h.coeffs, g, None), None)
+            assert ab.g.coeffs == horner_compose(b.g.coeffs, g, None)
+            # twist(h, g) * h = h(g), so the check needs no inverse
+            tw = twist(a.h, a.g).coeffs
+            assert mul_coeffs_by_loops(tw, hf, None) == horner_compose(hf, g, None), (n, name)
+            cols = powers_by_loops(g, None, first=hf)
+            assert to_matrix(a, n).entries == tuple(zip(*cols)), (n, name)
+
+
+def test_z_substitutions_match_the_loops():
+    rng = random.Random(1501)
+    for n in list(range(1, 17)) + [20, 24, 32]:
+        _check_z_substitutions(rng, n)
+
+
+def test_z_substitutions_match_the_loops_at_long_lengths():
+    rng = random.Random(1502)
+    for n in (97, 130):
+        draws = dict(_z_draws(rng, n))
+        for name in ("9", "-9", "mixed"):
+            f, g = draws[name], (0, 1) + draws["-2"][2:]
+            assert _compose([f, (0,) * n], g, None) == [horner_compose(f, g, None), (0,) * n], (n, name)
+            assert _powers(g, None, first=f) == powers_by_loops(g, None, first=f), (n, name)
+
+
+def test_z_composition_width_is_what_keeps_it_exact(monkeypatch):
+    # f = M (x + x^2 + ...) and g = x + x^2 + ... give f(g) = M x / (1 - 2x),
+    # whose top coefficient M 2^(n-2) is within bits(n) + 3 bits of the
+    # bound, so a slot two bytes narrower cannot hold it.
+    n, M = 64, 10**30
+    f, g = (0,) + (M,) * (n - 1), (0,) + (1,) * (n - 1)
+    want = horner_compose(f, g, None)
+    width = series._compose_width([f], g)
+    assert width - max(want).bit_length() <= n.bit_length() + 3
+    assert _compose([f], g, None) == [want]
+    monkeypatch.setattr(series, "_compose_width", lambda fs, g: width - 16)
+    assert _compose([f], g, None) != [want]
 
 
 def test_truncation_coherence():

@@ -103,7 +103,7 @@ def reversion_by_degree(g, mod):
 
 
 # Series-kernel references: the coefficient loops the library ran before its
-# packed F_p kernels, for any ring and any integer inputs.
+# packed kernels (F_p, then Z), for any ring and any integer inputs.
 
 def mul_coeffs_by_loops(a, b, mod):
     """The truncated product of two coefficient sequences of equal length."""
