@@ -150,22 +150,21 @@ def _require_match(a, b):
 # Products and substitutions run on packed integers (Kronecker substitution):
 # coefficient k of an operand sits in byte-aligned slot k of one int, so
 # packing (an array or a bytes join read by int.from_bytes), the product and
-# unpacking (memoryview.cast, or int.from_bytes per slot) run in C.
+# unpacking (memoryview.cast, or int.from_bytes per slot) run in C.  Both
+# rings take one slot rule, _slot_size: 2, 4 or 8 bytes, the sizes an array
+# code reads on a little-endian host, else whole bytes read by slices.
 #
 # Over F_p, for operands of length n with residues in [0, p), each product
-# slot below n sums at most n terms of at most (p-1)^2, so the smallest slot
-# of 2, 4 or 8 bytes holding n (p-1)^2 never overflows and each slot is the
-# exact integer coefficient.  p too large for any slot (beyond about 2^30)
-# keeps the coefficient loops; so do big-endian hosts, whose array items are
-# not little-endian slots.
+# slot below n sums at most n terms of at most (p-1)^2, so a slot of
+# bits(n (p-1)^2) bits never overflows and each slot is the exact integer
+# coefficient.
 #
 # Over Z the slots are signed.  A product of a and b of length n takes a slot
-# of W = bits(max|a|) + bits(max|b|) + bits(n) + 2 bits, rounded up to 2, 4 or
-# 8 bytes or else to whole bytes, so each product coefficient c has
-# |c| < 2^(W-2).  With L-byte slots an operand packs as sum c_k 2^(8Lk);
-# adding the bias sum 2^(8L-1) 2^(8Lk) and masking to n slots leaves
-# c_k + 2^(8L-1) in [0, 2^(8L)) in slot k, with no carry between slots, so
-# subtracting 2^(8L-1) from each slot decodes exactly.
+# of W = bits(max|a|) + bits(max|b|) + bits(n) + 2 bits, so each product
+# coefficient c has |c| < 2^(W-2).  With L-byte slots an operand packs as
+# sum c_k 2^(8Lk); adding the bias sum 2^(8L-1) 2^(8Lk) and masking to n
+# slots leaves c_k + 2^(8L-1) in [0, 2^(8L)) in slot k, with no carry between
+# slots, so subtracting 2^(8L-1) from each slot decodes exactly.
 #
 # Reduction mod x^n followed by x -> 2^(8L) maps Z[x]/(x^n) into Z/2^(8Ln) as
 # a ring homomorphism, so a composition over Z runs on packed ints masked to
@@ -176,47 +175,49 @@ def _require_match(a, b):
 # slots, and _compose_width bounds it by Cauchy's estimate.  Reversion over Z
 # keeps its loop: neither the packed table inverse nor Lagrange inversion by
 # packed powers of x/g beat it at the lengths measured.
-_SLOTS = tuple((code, array(code).itemsize) for code in "HIQ") if sys.byteorder == "little" else ()
+_UNSIGNED_CODES = {array(code).itemsize: code for code in "HIQ"} if sys.byteorder == "little" else {}
 _SIGNED_CODES = {array(code).itemsize: code for code in "hiq"} if sys.byteorder == "little" else {}
 
-# Reversion inverts the power table from this length on and runs the online
-# loop below it.  The two tie near length 24; at 32, quotient inverses up to
-# level 30 (length 31) keep the loop.
+# Reversion over F_p inverts the power table from this length on, when its
+# slot has an array code, and runs the online loop otherwise.  The two tie
+# near length 24; at 32, quotient inverses up to level 30 (length 31) keep the
+# loop.  With slots read by slices (p = 10^18+3) the table lost to the loop at
+# every length measured, 32 to 200.
 _REVERSION_TABLE_MIN_N = 32
 
 
-def _slot(n, mod):
-    # The smallest slot (array code, bytes) with n (mod-1)^2 < 2^(8 bytes), or None.
-    if mod is None:
-        return None
-    top = n * (mod - 1) ** 2
-    for code, size in _SLOTS:
-        if top < 1 << 8 * size:
-            return code, size
-    return None
+def _slot_size(width):
+    # Bytes of a slot of at least width bits: 2, 4 or 8, else whole bytes.
+    size = -(-width // 8)
+    return 2 if size <= 2 else 4 if size <= 4 else 8 if size <= 8 else size
 
 
-def _pack(coeffs, code):
-    return int.from_bytes(array(code, coeffs), "little")
+def _pack(coeffs, size):
+    # sum_k c_k 2^(8 size k) for 0 <= c_k < 2^(8 size).
+    code = _UNSIGNED_CODES.get(size)
+    if code:
+        return int.from_bytes(array(code, coeffs), "little")
+    return int.from_bytes(b"".join(map(int.to_bytes, coeffs, repeat(size), repeat("little"))), "little")
 
 
-def _unpack(v, n, code, size, mod):
+def _slots(raw, size, codes, signed):
+    # The size-byte little-endian slots of raw: an array view when codes has
+    # one for size, else one int.from_bytes per slice.
+    code = codes.get(size)
+    if code:
+        return memoryview(raw).cast(code)
+    cuts = map(slice, range(0, len(raw), size), range(size, len(raw) + size, size))
+    return map(partial(int.from_bytes, byteorder="little", signed=signed), map(raw.__getitem__, cuts))
+
+
+def _unpack(v, n, size, mod):
     # Slots 0..n-1 of v reduced mod p; v must be below 2^(8 size n).
-    return [c % mod for c in memoryview(v.to_bytes(n * size, "little")).cast(code)]
+    return tuple([c % mod for c in _slots(v.to_bytes(n * size, "little"), size, _UNSIGNED_CODES, False)])
 
 
 def _bits(cs):
     # bits(max |c|) over a nonempty sequence of ints.
     return max(max(cs), -min(cs)).bit_length()
-
-
-def _signed_size(width):
-    # Bytes of a signed slot of at least width bits: 2, 4 or 8, else whole bytes.
-    size = max(-(-width // 8), 2)
-    for s in _SIGNED_CODES:
-        if size <= s:
-            return s
-    return size
 
 
 def _bias(n, size):
@@ -231,17 +232,8 @@ def _spack(coeffs, size):
     bias = _bias(len(coeffs), size)
     code = _SIGNED_CODES.get(size)
     if code:
-        v = int.from_bytes(array(code, coeffs), "little") ^ bias
-    else:
-        top = 1 << 8 * size - 1
-        v = int.from_bytes(
-            b"".join(map(int.to_bytes, map(add, coeffs, repeat(top)), repeat(size), repeat("little"))),
-            "little",
-        )
-    return v - bias
-
-
-_from_signed_bytes = partial(int.from_bytes, byteorder="little", signed=True)
+        return (int.from_bytes(array(code, coeffs), "little") ^ bias) - bias
+    return _pack(map(add, coeffs, repeat(1 << 8 * size - 1)), size) - bias
 
 
 def _sunpack(v, n, size):
@@ -250,32 +242,16 @@ def _sunpack(v, n, size):
     # in slot k, and XOR with the bias leaves c_k in two's complement.
     bias = _bias(n, size)
     raw = (((v + bias) & ((1 << 8 * size * n) - 1)) ^ bias).to_bytes(n * size, "little")
-    code = _SIGNED_CODES.get(size)
-    if code:
-        return tuple(memoryview(raw).cast(code))
-    cuts = map(slice, range(0, n * size, size), range(size, (n + 1) * size, size))
-    return tuple(map(_from_signed_bytes, map(raw.__getitem__, cuts)))
+    return tuple(_slots(raw, size, _SIGNED_CODES, True))
 
 
 def _mul_coeffs(a, b, mod):
     n = len(a)
     if mod is None:
-        size = _signed_size(_bits(a) + _bits(b) + n.bit_length() + 2)
+        size = _slot_size(_bits(a) + _bits(b) + n.bit_length() + 2)
         return _sunpack(_spack(a, size) * _spack(b, size), n, size)
-    slot = _slot(n, mod)
-    if slot:
-        code, size = slot
-        v = _pack(a, code) * _pack(b, code) & ((1 << 8 * size * n) - 1)
-        return tuple(_unpack(v, n, code, size, mod))
-    out = [0] * n
-    for i in range(n):
-        ai = a[i]
-        if ai:
-            for j in range(n - i):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
-    return tuple(c % mod for c in out)
+    size = _slot_size((n * (mod - 1) ** 2).bit_length())
+    return _unpack(_pack(a, size) * _pack(b, size) & ((1 << 8 * size * n) - 1), n, size, mod)
 
 
 def _inv_unit_coeffs(a, mod):
@@ -310,7 +286,7 @@ def _powers(g, mod, first=None):
         t, size, v = pw[0], None, None
         for j in range(1, n):
             m = n - j
-            new = _signed_size(_bits(t) + gbits + m.bit_length() + 2)
+            new = _slot_size(_bits(t) + gbits + m.bit_length() + 2)
             if new != size:
                 size, v = new, _spack(t[:m], new)
                 if size not in packed:
@@ -320,19 +296,14 @@ def _powers(g, mod, first=None):
             t = _sunpack(v, m, size)
             pw.append((0,) * j + t)
         return tuple(pw)
-    slot = _slot(n, mod)
-    if slot is None:
-        for _ in range(n - 1):
-            pw.append(_mul_coeffs(pw[-1], g, mod))
-        return tuple(pw)
     # g/x is packed once and each reduced t_j once.
-    code, size = slot
+    size = _slot_size((n * (mod - 1) ** 2).bit_length())
     bits = 8 * size
-    gv, v = _pack(g[1:], code), _pack(pw[0], code)
+    gv, v = _pack(g[1:], size), _pack(pw[0], size)
     for j in range(1, n):
-        t = _unpack(v * gv & ((1 << bits * (n - j)) - 1), n - j, code, size, mod)
-        pw.append((0,) * j + tuple(t))
-        v = _pack(t, code)
+        t = _unpack(v * gv & ((1 << bits * (n - j)) - 1), n - j, size, mod)
+        pw.append((0,) * j + t)
+        v = _pack(t, size)
     return tuple(pw)
 
 
@@ -362,7 +333,7 @@ def _compose(fs, g, mod):
     if width is None:
         return [(0,) * n for _ in fs]
     # g itself is packed, so its slots must hold it too.
-    size = _signed_size(max(width, _bits(g) + 2))
+    size = _slot_size(max(width, _bits(g) + 2))
     mask = (1 << 8 * size * n) - 1
     k = isqrt(n)
     gv = _spack(g, size)
@@ -416,9 +387,9 @@ def _compose_width(fs, g):
 def _reversion(g, mod):
     # The power table of r with g(r) = x, for g = (0, 1, b2, ...).
     n = len(g)
-    slot = _slot(n, mod) if n >= _REVERSION_TABLE_MIN_N else None
-    if slot:
-        return _reversion_by_table(g, mod, *slot)
+    if mod is not None and n >= _REVERSION_TABLE_MIN_N:
+        if _slot_size((n * (mod - 1) ** 2).bit_length()) in _UNSIGNED_CODES:
+            return _reversion_by_table(g, mod)
     # [x^m] r^j for j >= 2 needs only r_1..r_{m-1}: convolve column m of
     # r^2..r^m first, then r_m = -sum_{j>=2} b_j [x^m] r^j.  No division, so
     # exact over F_p and Z.
@@ -440,13 +411,14 @@ def _reversion(g, mod):
     return tuple(tuple(row) for row in pw)
 
 
-def _reversion_by_table(g, mod, code, size):
+def _reversion_by_table(g, mod):
     # The power table A of g is unitriangular, and sum_k A[j][k] r^k =
     # g^j(r) = x^j, so the power table of r is A^-1: from the last row up,
     # R[j] = x^j + sum_{k>j} (p - A[j][k]) R[k] mod p, each R[k] a packed
     # reduced row.  Slot m > j of the sum adds at most n - 1 terms of at most
-    # (p-1)^2 and slot j holds 1, so the slot of _slot(n, p) holds it exactly.
+    # (p-1)^2 and slot j holds 1, so the slot of a length-n product holds it.
     n = len(g)
+    size = _slot_size((n * (mod - 1) ** 2).bit_length())
     A = _powers(g, mod)
     packed = [0] * n
     rows = [None] * n
@@ -457,9 +429,8 @@ def _reversion_by_table(g, mod, code, size):
             c = aj[k]
             if c:
                 acc += (mod - c) * packed[k]
-        row = _unpack(acc, n, code, size, mod)
-        packed[j] = _pack(row, code)
-        rows[j] = tuple(row)
+        rows[j] = row = _unpack(acc, n, size, mod)
+        packed[j] = _pack(row, size)
     return tuple(rows)
 
 

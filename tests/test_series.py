@@ -27,10 +27,14 @@ from riordan.series import (
     _compose,
     _is_prime,
     _mul_coeffs,
+    _pack,
     _powers,
     _reversion,
-    _slot,
+    _slot_size,
+    _spack,
     _subst,
+    _sunpack,
+    _unpack,
 )
 from util import (
     horner_compose,
@@ -353,11 +357,13 @@ def test_packed_kernels_at_the_slot_limits(bits):
     rng = random.Random(bits)
     for p, n, inside in _slot_edges(bits):
         assert (n * (p - 1) ** 2 < 1 << bits) == inside
-        slot = _slot(n, p)
+        size = _slot_size((n * (p - 1) ** 2).bit_length())
         if inside:
-            assert slot[1] * 8 == bits
+            assert size * 8 == bits
         else:
-            assert slot is None if bits == 64 else slot[1] * 8 > bits
+            # one bit past the limit: the next array slot, or past 8 bytes
+            # the least whole-byte slot, read by slices
+            assert size == {16: 4, 32: 8, 64: 9}[bits]
         _check_kernels(rng, p, n)
 
 
@@ -365,9 +371,9 @@ def test_reversion_solves_the_table_from_length_32(monkeypatch):
     calls = []
     by_table = series._reversion_by_table
 
-    def recording(g, mod, code, size):
+    def recording(g, mod):
         calls.append(len(g))
-        return by_table(g, mod, code, size)
+        return by_table(g, mod)
 
     monkeypatch.setattr(series, "_reversion_by_table", recording)
     for n in (2, 31, 32, 33):
@@ -375,6 +381,45 @@ def test_reversion_solves_the_table_from_length_32(monkeypatch):
             g = (0, 1) + (1,) * (n - 2)
             assert _reversion(g, mod) == reversion_online(g, mod)
     assert calls == [32, 33]
+
+
+def _without_array_codes(monkeypatch):
+    # A host with no array code for a slot, as on a big-endian one, whose
+    # array items are not little-endian slots: every slot is read by slices.
+    monkeypatch.setattr(series, "_UNSIGNED_CODES", {})
+    monkeypatch.setattr(series, "_SIGNED_CODES", {})
+
+
+@pytest.mark.parametrize("mod", (2, 3, 5, None))
+def test_kernels_without_array_codes_match_the_loops(monkeypatch, mod):
+    _without_array_codes(monkeypatch)
+    rng = random.Random(1900 + (mod or 0))
+    for n in list(range(1, 18)) + [32, 33, 64]:
+        _check_kernels(rng, mod, n)
+        f, g = _residues(rng, mod, n), (0,) + _residues(rng, mod, n)[1:]
+        assert _compose([f], g, mod) == [horner_compose(f, g, mod)], (mod, n)
+        if mod is not None and n >= 32:
+            # the dispatch keeps the loop here, so run the table inverse itself
+            g = (0, 1) + g[2:]
+            assert series._reversion_by_table(g, mod) == reversion_online(g, mod), (mod, n)
+
+
+@pytest.mark.parametrize("arrays", (True, False))
+def test_codecs_round_trip_at_the_extremes(monkeypatch, arrays):
+    if not arrays:
+        _without_array_codes(monkeypatch)
+    for size in (2, 4, 8, 9, 16, 17):
+        top = (1 << 8 * size) - 1
+        cs = (0, top, 1, top - 1, 0, top)
+        v = _pack(cs, size)
+        assert v == sum(c << 8 * size * k for k, c in enumerate(cs)), size
+        # reduction mod 2^(8 size) leaves every slot as it is
+        assert _unpack(v, len(cs), size, top + 1) == cs, size
+        half = (1 << 8 * size - 1) - 1
+        cs = (0, half, -half, -1, 1, -half, half, 0)
+        v = _spack(cs, size)
+        assert v == sum(c << 8 * size * k for k, c in enumerate(cs)), size
+        assert _sunpack(v, len(cs), size) == cs, size
 
 
 # Over Z the packed kernels against the same loops, with slots sized from
