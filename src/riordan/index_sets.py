@@ -237,24 +237,10 @@ class IndexSet:
 
     # -- boolean algebra ---------------------------------------------------
 
-    def _members_below(self, t):
-        """The members in [1, t), for t >= threshold."""
-        out = set(self.exceptional)
-        lo = max(self.threshold, 1)
-        for r in self.residues:
-            out.update(range(self.first_in_class(r, lo), t, self.period))
-        return out
-
-    def _residues_mod(self, m):
-        """The residues lifted to a multiple m of the period."""
-        out = set()
-        for r in self.residues:
-            out.update(range(r, m, self.period))
-        return out
-
     def _combine(self, other, op):
-        # op is one set operator, applied to the residues lifted to the
-        # common period and to the members below the common threshold
+        # op is one int operator, applied bytewise to the two rows of member
+        # flags over [0, t + m), t >= 1 since 0 is never a member: below t
+        # the row gives the exceptional members, and [t, t + m) the residues
         if not isinstance(other, IndexSet):
             raise TypeError("expected an IndexSet")
         m = lcm(self.period, other.period)
@@ -263,8 +249,11 @@ class IndexSet:
             max(m, t),
             f"combining index sets needs lcm(periods)={m} residues and a threshold of {t}",
         )
-        res = op(self._residues_mod(m), other._residues_mod(m))
-        exc = op(self._members_below(t), other._members_below(t))
+        t = max(t, 1)
+        a, b = (int.from_bytes(_member_flags(s, t + m - 1), "little") for s in (self, other))
+        row = op(a, b).to_bytes(t + m, "little")
+        exc = itertools.compress(range(t), row[:t])
+        res = map(m.__rmod__, itertools.compress(range(t, t + m), row[t:]))
         return IndexSet(t, exc, m, res)
 
     def union(self, other):
@@ -274,7 +263,7 @@ class IndexSet:
         return self._combine(other, operator.and_)
 
     def difference(self, other):
-        return self._combine(other, operator.sub)
+        return self._combine(other, lambda a, b: a & ~b)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -445,19 +434,17 @@ def _dominated_ns(a, p):
     """All n in [1, a] with C(a, n) nonzero mod p, ascending.
 
     By Lucas these are exactly the n whose base-p digits are dominated by
-    the digits of a, so they are enumerated by digit products, top digit
-    first, which is ascending order.
+    the digits of a.  They are built Horner-style over those digits, top
+    first, as _DominatedClasses builds their classes: after each digit d,
+    out holds n*p + e for every n so far and e in 0..d, in ascending order.
     """
     digits = []
     while a:
         a, d = divmod(a, p)
         digits.append(d)
-    out = []
-    for combo in itertools.product(*(range(d + 1) for d in reversed(digits))):
-        n = 0
-        for e in combo:
-            n = n * p + e
-        out.append(n)
+    out = [0]
+    for d in reversed(digits):
+        out = [n * p + e for n in out for e in range(d + 1)]
     return tuple(out[1:])
 
 
@@ -753,27 +740,27 @@ def w_value(j, p):
 
 
 def _jxi_decomposition(xi, p):
-    """J(xi) for a checked xi as residue classes mod p^(K+1) (see Jxi)."""
-    if xi == 0:
-        return IndexSet.empty()
-    if xi == Fraction(1, p):
-        # every j = -1 mod p has w(j) < 1/p: the leading base-p digit of
-        # j+1 is 0 and the expansion is finite
-        return IndexSet(period=p, residues={p - 1})
+    """J(xi) for a checked xi as residue classes mod p^K (see Jxi).
+
+    j is in J(xi) when the base-p digits of j+1, lowest first, fall below
+    the digits x_1 .. x_K of xi at the first place they differ.  As
+    xi <= 1/p, that makes j+1 = 0 mod p: x_1 = 0, or xi = 1/p and K = 1.
+    """
     digits = []
-    x = xi * p
+    x = xi
     while x:
         x *= p
         d = int(x)
         digits.append(d)
         x -= d
     K = len(digits)
-    P = p ** (K + 1)
-    require_within_cap(P, f"J(xi) has period {p}^{K + 1}")
+    P = p**K
+    if K > 1:
+        # one digit (xi = 1/p) is the single class p - 1, at any p
+        require_within_cap(P, f"J(xi) has period {p}^{K}")
     residues = set()
     prefix = 0
-    for n in range(1, K + 1):
-        c = digits[n - 1]
+    for n, c in enumerate(digits):
         step = p ** (n + 1)
         for t in range(c):
             # the class prefix + t*p^n - 1 mod step, lifted to the period
@@ -827,13 +814,14 @@ def Jxi(xi, p, emit_bound=10**4):
     """The set {j = -1 mod p : w(j) < xi} as explicit progressions.
 
     xi must be a rational in [0, 1/p] with p-power denominator; the result
-    is a union of residue classes mod p^(K+1) where K is the digit length
-    of p*xi.  Membership is re-verified up to emit_bound >= 1 before
+    is a union of residue classes mod p^K where K is the base-p digit
+    length of xi.  Membership is re-verified up to emit_bound >= 1 before
     returning: the direct w(j) < xi row, built in integers from base-p
     digit reversals (see _w_below_flags), must equal the decomposition's
     member flags byte for byte, and the first j where they differ is
-    named.  A period p^(K+1) or an emit_bound above the enumeration cap
-    raises CapExceededError.
+    named.  A period p^K with K > 1 or an emit_bound above the
+    enumeration cap raises CapExceededError; xi = 1/p is one class at
+    any p.
     """
     CoeffRing(p)
     emit_bound = int(emit_bound)

@@ -296,12 +296,14 @@ def _powers(g, mod, first=None):
             t = _sunpack(v, m, size)
             pw.append((0,) * j + t)
         return tuple(pw)
-    # g/x is packed once and each reduced t_j once.
+    # g/x is packed once and each reduced t_j once; g/x is cut to the n - j
+    # slots the row keeps, as over Z.
     size = _slot_size((n * (mod - 1) ** 2).bit_length())
     bits = 8 * size
     gv, v = _pack(g[1:], size), _pack(pw[0], size)
     for j in range(1, n):
-        t = _unpack(v * gv & ((1 << bits * (n - j)) - 1), n - j, size, mod)
+        low = (1 << bits * (n - j)) - 1
+        t = _unpack(v * (gv & low) & low, n - j, size, mod)
         pw.append((0,) * j + t)
         v = _pack(t, size)
     return tuple(pw)

@@ -38,6 +38,7 @@ from util import (
     canonical_form_by_scan,
     combine_by_scan,
     density_curve_by_scan,
+    dominated_ns_by_product,
     reversal_scan,
     sumset_by_pairs,
     sumset_closed_unclamped,
@@ -253,6 +254,16 @@ def test_dominated_ns_matches_direct_lucas_scan():
             assert _dominated_ns(a, p) == want
 
 
+def test_dominated_ns_matches_the_digit_products_up_to_a_million():
+    from riordan.index_sets import _dominated_ns
+
+    rng = random.Random(2020)
+    for p in (2, 3, 5, 7, 11):
+        top = p ** int(math.log(10**5, p)) - 1  # every digit p - 1
+        for a in [rng.randrange(1, 10**6 + 1) for _ in range(6)] + [top, 10**6]:
+            assert _dominated_ns(a, p) == dominated_ns_by_product(a, p), (a, p)
+
+
 def test_admissible_pins():
     rep = admissible_check(N3, IndexSet.progression(2, 3), 3, bound=500)
     assert rep.passed
@@ -393,6 +404,47 @@ def test_set_algebra_matches_the_per_integer_scan():
             assert getattr(a, op)(b) == combine_by_scan(a, b, op), (a, b, op)
 
 
+def test_set_algebra_matches_the_scan_at_large_periods():
+    # periods d*u and d*v, u and v coprime, so the lcm d*u*v is in
+    # [10^3, 10^4]; thresholds up to 300
+    rng = random.Random(2021)
+    lcms = set()
+    for _ in range(12):
+        d, u, v = 0, 2, 2
+        while math.gcd(u, v) > 1 or not 1000 <= d * u * v <= 10**4:
+            d, u, v = rng.randrange(40, 200), rng.randrange(2, 12), rng.randrange(2, 12)
+        sets = []
+        for m in (d * u, d * v):
+            t = rng.randrange(0, 301)
+            density = rng.random()
+            residues = [r for r in range(m) if rng.random() < density]
+            sets.append(IndexSet(t, [e for e in range(1, t) if rng.random() < 0.5], m, residues))
+        a, b = sets
+        lcms.add(math.lcm(a.period, b.period))
+        for x, y in ((a, b), (b, a)):
+            for op in ("union", "intersect", "difference"):
+                assert getattr(x, op)(y) == combine_by_scan(x, y, op), (x, y, op)
+    assert min(lcms) >= 1000 and max(lcms) > 5000
+
+
+def test_set_algebra_past_the_cap_is_refused_before_any_row(monkeypatch):
+    monkeypatch.setenv("RIORDAN_MAX_ELEMS", "2000")
+    rows = []
+    flags = index_sets._member_flags
+    monkeypatch.setattr(index_sets, "_member_flags", lambda s, top: rows.append(top) or flags(s, top))
+    far = IndexSet.multiples(1999)
+    assert far.union(NAT) == NAT and rows
+    rows.clear()
+    for a, b, what in (
+        (far, IndexSet.multiples(3), "lcm\\(periods\\)=5997 residues and a threshold of 0"),
+        (IndexSet.from_finite({2000}), N3, "lcm\\(periods\\)=3 residues and a threshold of 2001"),
+    ):
+        for op in ("union", "intersect", "difference"):
+            with pytest.raises(CapExceededError, match=f"combining index sets needs {what}; the cap is 2000"):
+                getattr(a, op)(b)
+    assert rows == []
+
+
 def test_admissible_agrees_with_brute_oracle_past_target_thresholds():
     # I keeps every integer up to 2*bound and most of a longer exceptional
     # run, so condition 3 sends partner values below I's threshold (where
@@ -428,6 +480,11 @@ def test_group_closure_crosscheck():
     rep = group_closure_crosscheck(IndexSet.multiples(2), NAT, 3, trunc=12, samples=50)
     assert not rep.consistent
     assert "degree 3" in rep.escape
+    rep = group_closure_crosscheck(IndexSet.multiples(27), IndexSet.multiples(6), 3)
+    assert (rep.consistent, rep.samples, rep.escape) == (True, 200, None)
+    rep = group_closure_crosscheck(IndexSet.multiples(5), IndexSet(period=4, residues={1}), 3)
+    assert (rep.consistent, rep.samples) == (False, 1)
+    assert rep.escape == "product: h-coefficient at degree 6 outside I"
 
 
 def test_digit_weight_pins():
@@ -462,7 +519,9 @@ def test_jxi_matches_the_fraction_scan_for_every_xi():
 
 def test_jxi_pins():
     assert Jxi(Fr(1, 9), 3) == IndexSet(period=9, residues=(8,))
-    assert Jxi(Fr(1, 3), 3) == IndexSet(period=3, residues=(2,))
+    # xi = 1/p is the single class p - 1 at any p, also past the cap
+    for p in (2, 3, 5, 7, 1000003, 10**9 + 7, 10**18 + 3):
+        assert Jxi(Fr(1, p), p) == IndexSet(period=p, residues=(p - 1,))
     assert Jxi(Fr(2, 9), 3) == IndexSet(period=9, residues=(2, 8))
     assert Jxi(Fr(4, 27), 3) == IndexSet(period=27, residues=(2, 8, 17, 26))
     assert Jxi(Fr(0), 3).is_empty()
@@ -474,6 +533,13 @@ def test_jxi_pins():
         with pytest.raises(ValueError, match="emit_bound"):
             Jxi(Fr(1, 9), 3, emit_bound=emit_bound)
     assert Jxi(Fr(1, 9), 3, emit_bound=1) == IndexSet(period=9, residues=(8,))
+
+
+def test_jxi_cap_refuses_only_a_longer_expansion(monkeypatch):
+    monkeypatch.setenv("RIORDAN_MAX_ELEMS", "2")
+    assert Jxi(Fr(1, 3), 3, emit_bound=2) == IndexSet(period=3, residues=(2,))
+    with pytest.raises(CapExceededError, match=r"J\(xi\) has period 3\^2; the cap is 2"):
+        Jxi(Fr(1, 9), 3, emit_bound=2)
 
 
 def seeded_xis(p, rng):
