@@ -28,7 +28,6 @@ from .series import (
     _powers,
     _require_match,
     _reversion,
-    _subst,
     format_series,
     parse_series,
 )
@@ -85,13 +84,12 @@ def rmul(a, b):
 
 
 def rinv(a):
-    """The group inverse (h^(-1)(gbar), gbar) with gbar the compositional inverse."""
+    """The group inverse (h^(-1)(gbar), gbar), gbar = g^(-1), both from one _reversion call."""
     if not isinstance(a, RiordanElem):
         raise TypeError("rinv expects a Riordan element")
     ring, mod = a.ring, a.ring.p
-    pw = _reversion(a.g.coeffs, mod)
-    h = _subst(_inv_unit_coeffs(a.h.coeffs, mod), pw, mod)
-    return RiordanElem(UnitSeries(ring, h), NottSeries(ring, pw[1]))
+    gbar, h = _reversion(a.g.coeffs, _inv_unit_coeffs(a.h.coeffs, mod), mod)
+    return RiordanElem(UnitSeries(ring, h), NottSeries(ring, gbar))
 
 
 class RiordanMatrix:

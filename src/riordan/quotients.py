@@ -52,7 +52,6 @@ from .series import (
     _inv_unit_coeffs,
     _powers,
     _reversion,
-    _subst,
     require_within_cap,
     twist,
 )
@@ -397,10 +396,10 @@ class QuotientGroup:
         return tuple(out)
 
     def inv(self, x):
+        """The inverse of x: gbar = g^(-1) and h^(-1)(gbar) from one reversion call."""
         p, na, L = self.p, self.na, self.level
-        pw = _reversion((0, 1) + x[na:], p)
-        h = _subst(_inv_unit_coeffs((1,) + x[:na] + (0,), p), pw, p)
-        return h[1:L] + pw[1][2:]
+        gbar, h = _reversion((0, 1) + x[na:], _inv_unit_coeffs((1,) + x[:na] + (0,), p), p)
+        return h[1:L] + gbar[2:]
 
     def conj(self, x, t):
         """x conjugated by t: t^(-1) x t."""

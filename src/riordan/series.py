@@ -167,14 +167,16 @@ def _require_match(a, b):
 # slots, so subtracting 2^(8L-1) from each slot decodes exactly.
 #
 # Reduction mod x^n followed by x -> 2^(8L) maps Z[x]/(x^n) into Z/2^(8Ln) as
-# a ring homomorphism, so a composition over Z runs on packed ints masked to
-# n slots (baby-step/giant-step composition, Brent and Kung, J. ACM 25 (1978)):
-# the baby steps g^0..g^(k-1) and the giant step g^k for k = isqrt(n), one
-# sum of baby steps per chunk of k coefficients of f, and a Horner pass in
-# g^k.  Intermediate values need no bound; only the result must fit its
-# slots, and _compose_width bounds it by Cauchy's estimate.  Reversion over Z
-# keeps its loop: neither the packed table inverse nor Lagrange inversion by
-# packed powers of x/g beat it at the lengths measured.
+# a ring homomorphism, so composition in both rings runs on packed ints masked
+# to n slots (baby and giant steps, Brent and Kung, J. ACM 25 (1978)): g^0..
+# g^(k-1) and g^k for k = ceil(sqrt(n)), one sum of baby steps per chunk of k
+# coefficients of f, and a Horner pass in g^k.  Over Z only the result must
+# fit its slots; _compose_width bounds it by Cauchy's estimate.  Over F_p the
+# baby and giant steps and the Horner value after each chunk are reduced to
+# residues, so a chunk's slot adds at most n terms of at most (p-1)^2.  The
+# reversion yields r and f(r), no power table; over Z it keeps its loop:
+# neither the packed table inverse nor Lagrange inversion by packed powers of
+# x/g beat it at the lengths measured.
 _UNSIGNED_CODES = {array(code).itemsize: code for code in "HIQ"} if sys.byteorder == "little" else {}
 _SIGNED_CODES = {array(code).itemsize: code for code in "hiq"} if sys.byteorder == "little" else {}
 
@@ -309,52 +311,47 @@ def _powers(g, mod, first=None):
     return tuple(pw)
 
 
-def _subst(f, pw, mod):
-    # f(g) = sum_j f_j * pw[j] for the power table pw of g.
-    n = len(pw[0])
-    out = [0] * n
-    for j, c in enumerate(f):
-        if c:
-            row = pw[j]
-            for k in range(j, n):
-                out[k] += c * row[k]
-    return tuple(out) if mod is None else tuple(c % mod for c in out)
-
-
 def _compose(fs, g, mod):
-    # f(g) for each f in fs, all of g's length, g[0] = 0.  Over F_p: one power
-    # table of g and one _subst per f.  Over Z: baby and giant steps on
-    # packed ints mod 2^(8 size n), never building the table.
-    if mod is not None:
-        pw = _powers(g, mod)
-        return [_subst(f, pw, mod) for f in fs]
+    # f(g) for each f in fs, all of g's length, g[0] = 0, by baby and giant
+    # steps on packed ints mod 2^(8 size n).
     if g[0]:
         raise ValueError("substituted series must have zero constant term")
     n = len(g)
-    width = _compose_width(fs, g)
-    if width is None:
-        return [(0,) * n for _ in fs]
-    # g itself is packed, so its slots must hold it too.
-    size = _slot_size(max(width, _bits(g) + 2))
-    mask = (1 << 8 * size * n) - 1
-    k = isqrt(n)
-    gv = _spack(g, size)
-    baby = [1]
-    for _ in range(k - 1):
-        baby.append(baby[-1] * gv & mask)
-    giant = baby[-1] * gv & mask
+    if mod is None:
+        width = _compose_width(fs, g)
+        if width is None:
+            return [(0,) * n for _ in fs]
+        # g itself is packed, so its slots must hold it too.
+        size = _slot_size(max(width, _bits(g) + 2))
+        gv = _spack(g, size)
+    else:
+        size = _slot_size((n * (mod - 1) ** 2).bit_length())
+        gv = _pack(g, size)
+    bits = 8 * size
+
+    def cut(v, m):
+        # v mod x^m, reduced to residues over F_p.
+        v &= (1 << bits * m) - 1
+        return v if mod is None else _pack(_unpack(v, m, size, mod), size)
+
+    k = isqrt(n - 1) + 1
+    baby = [1, gv]
+    while len(baby) <= k:
+        baby.append(cut(baby[-1] * gv, n))
     # The result multiplies the Horner value at chunk c by g^c, so only that
     # value mod x^(n-c) counts: a chunk's product is cut to n - c - k slots.
-    shift = 8 * size * k
-    giant >>= shift
+    shift = bits * k
+    giant = baby.pop() >> shift
     out = []
     for f in fs:
         acc = 0
         for c in range((n - 1) // k * k, -1, -k):
-            low = (1 << 8 * size * max(n - c - k, 0)) - 1
-            acc = ((acc & low) * (giant & low) & low) << shift
+            low = (1 << bits * max(n - c - k, 0)) - 1
+            acc = (acc * (giant & low) & low) << shift
             acc += sum(map(_int_mul, f[c : c + k], baby))
-        out.append(_sunpack(acc, n, size))
+            if c:
+                acc = cut(acc, n - c)
+        out.append(_sunpack(acc, n, size) if mod is None else _unpack(acc, n, size, mod))
     return out
 
 
@@ -386,20 +383,21 @@ def _compose_width(fs, g):
     return best + n.bit_length() + 2
 
 
-def _reversion(g, mod):
-    # The power table of r with g(r) = x, for g = (0, 1, b2, ...).
+def _reversion(g, f, mod):
+    # (r, f(r)) for r with g(r) = x, g = (0, 1, b2, ...) and f of g's length.
     n = len(g)
     if mod is not None and n >= _REVERSION_TABLE_MIN_N:
         if _slot_size((n * (mod - 1) ** 2).bit_length()) in _UNSIGNED_CODES:
-            return _reversion_by_table(g, mod)
-    # [x^m] r^j for j >= 2 needs only r_1..r_{m-1}: convolve column m of
-    # r^2..r^m first, then r_m = -sum_{j>=2} b_j [x^m] r^j.  No division, so
-    # exact over F_p and Z.
+            return _reversion_by_table(g, f, mod)
+    # [x^m] r^j, j >= 2, needs only r_1..r_{m-1}: convolve column m of r^2..r^m,
+    # then r_m = -sum_{j>=2} b_j [x^m] r^j and [x^m] f(r) = f_1 r_m +
+    # sum_{j>=2} f_j [x^m] r^j.  No division, so exact over F_p and Z.
     pw = [[0] * n for _ in range(n)]
     r = pw[1]
     pw[0][0] = r[1] = 1
+    fr = list(f[:2])
     for m in range(2, n):
-        s = 0
+        s = t = 0
         for j in range(2, m + 1):
             prev = pw[j - 1]
             c = 0
@@ -409,21 +407,24 @@ def _reversion(g, mod):
             pw[j][m] = c = c if mod is None else c % mod
             if g[j]:
                 s += g[j] * c
+            if f[j]:
+                t += f[j] * c
         r[m] = -s if mod is None else -s % mod
-    return tuple(tuple(row) for row in pw)
+        t += f[1] * r[m]
+        fr.append(t if mod is None else t % mod)
+    return tuple(r), tuple(fr)
 
 
-def _reversion_by_table(g, mod):
+def _reversion_by_table(g, f, mod):
     # The power table A of g is unitriangular, and sum_k A[j][k] r^k =
     # g^j(r) = x^j, so the power table of r is A^-1: from the last row up,
     # R[j] = x^j + sum_{k>j} (p - A[j][k]) R[k] mod p, each R[k] a packed
-    # reduced row.  Slot m > j of the sum adds at most n - 1 terms of at most
-    # (p-1)^2 and slot j holds 1, so the slot of a length-n product holds it.
+    # reduced row, and f(r) = sum_j f_j R[j].  A slot of either sum adds at
+    # most n terms of at most (p-1)^2, so the slot of a length-n product holds it.
     n = len(g)
     size = _slot_size((n * (mod - 1) ** 2).bit_length())
     A = _powers(g, mod)
     packed = [0] * n
-    rows = [None] * n
     for j in range(n - 1, -1, -1):
         aj = A[j]
         acc = 1 << 8 * size * j
@@ -431,9 +432,8 @@ def _reversion_by_table(g, mod):
             c = aj[k]
             if c:
                 acc += (mod - c) * packed[k]
-        rows[j] = row = _unpack(acc, n, size, mod)
-        packed[j] = _pack(row, size)
-    return tuple(rows)
+        packed[j] = _pack(_unpack(acc, n, size, mod), size)
+    return _unpack(packed[1], n, size, mod), _unpack(sum(map(_int_mul, f, packed)), n, size, mod)
 
 
 class TruncSeries:
@@ -601,7 +601,7 @@ def comp_inverse(g):
     """The compositional inverse of x + c2 x^2 + ... (two-sided), in O(N^3)."""
     if not isinstance(g, NottSeries):
         g = TruncSeries.as_nott(g)
-    return NottSeries(g.ring, _reversion(g.coeffs, g.ring.p)[1])
+    return NottSeries(g.ring, _reversion(g.coeffs, (1,) + (0,) * g.trunc, g.ring.p)[0])
 
 
 def twist(h, g):

@@ -114,6 +114,23 @@ def test_quotient_law_matches_series_law():
     assert G.mul(G.identity, G.identity) == G.identity
 
 
+@pytest.mark.parametrize("p, level", [(3, 3), (2, 5), (3, 30), (3, 33), (5, 30), (5, 33), (65537, 30), (65537, 33)])
+def test_quotient_inverse_is_a_two_sided_inverse(p, level):
+    # The oracle is the law alone, so it holds even where G.inv and rinv
+    # share a kernel: every x at (3,3) and (2,5), samples either side of the
+    # length where the reversion switches to the table inverse.
+    G = QuotientGroup(p, level)
+    width = 2 * G.na
+    if p ** width <= 256:
+        xs = list(itertools.product(range(p), repeat=width))
+    else:
+        rng = random.Random(23 * level + p % 1000)
+        xs = [(p - 1,) * width] + [tuple(rng.randrange(p) for _ in range(width)) for _ in range(20)]
+    for x in xs:
+        xi = G.inv(x)
+        assert G.mul(x, xi) == G.mul(xi, x) == G.identity, x
+
+
 @pytest.mark.parametrize(
     "p, level", [(2, 9), (3, 5), (7, 4), (5, 26), (3, 45), (2147483647, 3), (2147483647, 4)]
 )

@@ -32,7 +32,6 @@ from riordan.series import (
     _reversion,
     _slot_size,
     _spack,
-    _subst,
     _sunpack,
     _unpack,
 )
@@ -271,10 +270,10 @@ def test_kernels_match_brute_force_references():
             # any g with zero constant term substitutes, not only x + ...
             g0 = (0,) + rand_series(rng, ring, trunc).coeffs[1:]
             for sub in (g, g0):
-                assert _subst(f, _powers(sub, mod), mod) == horner_compose(f, sub, mod)
-            table = _reversion(g, mod)
-            assert table[1] == reversion_by_degree(g, mod)
-            assert table == _powers(table[1], mod)
+                assert _compose([f], sub, mod) == [horner_compose(f, sub, mod)]
+            r, fr = _reversion(g, f, mod)
+            assert r == reversion_by_degree(g, mod)
+            assert fr == horner_compose(f, r, mod)
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
@@ -319,9 +318,14 @@ def _check_kernels(rng, mod, n):
         g = (0,) + b[1:]
         assert _powers(g, mod) == powers_by_loops(g, mod), (mod, n)
         assert _powers(g, mod, first=a) == powers_by_loops(g, mod, first=a), (mod, n)
+        # two fs share the baby steps of g, and f = 0 gives 0
+        fa = horner_compose(a, g, mod)
+        fb = fa if b == a else horner_compose(b, g, mod)
+        assert _compose([a, b, (0,) * n], g, mod) == [fa, fb, (0,) * n], (mod, n)
         if n >= 2:
             g = (0, 1) + b[2:]
-            assert _reversion(g, mod) == reversion_online(g, mod), (mod, n)
+            r = reversion_online(g, mod)[1]
+            assert _reversion(g, a, mod) == (r, horner_compose(a, r, mod)), (mod, n)
 
 
 @pytest.mark.parametrize("mod", (2, 3, 5, 7, 65537, 10**6 + 3, 10**18 + 3, None))
@@ -367,19 +371,48 @@ def test_packed_kernels_at_the_slot_limits(bits):
         _check_kernels(rng, p, n)
 
 
+def _horner_by_products(f, g, mod):
+    # f(g) by Horner's rule on the packed product: one product per coefficient.
+    out = (0,) * len(g)
+    for c in reversed(f):
+        out = _mul_coeffs(out, g, mod)
+        out = ((out[0] + c) % mod,) + out[1:]
+    return out
+
+
+@pytest.mark.parametrize("mod", (3, 65537, 10**6 + 3, 10**18 + 3))
+def test_fp_substitutions_at_long_lengths(mod):
+    # Past n = 256 at p = 65537 an unreduced baby step overflows its 8-byte
+    # slot in the next product, which no length up to 130 shows.
+    rng = random.Random(2100 + mod % 997)
+    n = 300
+    top = (mod - 1,) * n
+    f, g = _residues(rng, mod, n), (0,) + _residues(rng, mod, n)[1:]
+    for sub in (g, (0,) + top[1:]):
+        want = [_horner_by_products(f, sub, mod), _horner_by_products(top, sub, mod)]
+        assert _compose([f, top], sub, mod) == want
+    if _slot_size((n * (mod - 1) ** 2).bit_length()) in series._UNSIGNED_CODES:
+        # the table inverse; the online loop would take seconds here
+        for g in ((0, 1) + g[2:], (0, 1) + top[2:]):
+            r, fr = _reversion(g, top, mod)
+            assert _horner_by_products(g, r, mod) == (0, 1) + (0,) * (n - 2)
+            assert fr == _horner_by_products(top, r, mod)
+
+
 def test_reversion_solves_the_table_from_length_32(monkeypatch):
     calls = []
     by_table = series._reversion_by_table
 
-    def recording(g, mod):
+    def recording(g, f, mod):
         calls.append(len(g))
-        return by_table(g, mod)
+        return by_table(g, f, mod)
 
     monkeypatch.setattr(series, "_reversion_by_table", recording)
     for n in (2, 31, 32, 33):
         for mod in (3, 10**18 + 3, None):
-            g = (0, 1) + (1,) * (n - 2)
-            assert _reversion(g, mod) == reversion_online(g, mod)
+            g, f = (0, 1) + (1,) * (n - 2), (2,) * n
+            r = reversion_online(g, mod)[1]
+            assert _reversion(g, f, mod) == (r, horner_compose(f, r, mod))
     assert calls == [32, 33]
 
 
@@ -401,7 +434,8 @@ def test_kernels_without_array_codes_match_the_loops(monkeypatch, mod):
         if mod is not None and n >= 32:
             # the dispatch keeps the loop here, so run the table inverse itself
             g = (0, 1) + g[2:]
-            assert series._reversion_by_table(g, mod) == reversion_online(g, mod), (mod, n)
+            r = reversion_online(g, mod)[1]
+            assert series._reversion_by_table(g, f, mod) == (r, horner_compose(f, r, mod)), (mod, n)
 
 
 @pytest.mark.parametrize("arrays", (True, False))

@@ -70,7 +70,7 @@ def rand_elem(rng, ring, trunc, m=1, n=1):
     return RiordanElem(rand_unit(rng, ring, trunc, m), rand_nott(rng, ring, trunc, n))
 
 
-# Brute-force substitution references: slower than the library's power-table
+# Brute-force substitution references: slower than the library's packed
 # kernels and written independently of them.
 
 def horner_compose(f, g, mod):
