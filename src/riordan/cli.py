@@ -32,6 +32,9 @@ from .index_sets import (
 )
 from .quotients import (
     QuotientGroup,
+    _quotient_params,
+    _tower_samples,
+    _width_depth,
     generation_check,
     hm_generation_check,
     sigma_filtration_check,
@@ -186,8 +189,9 @@ def _cmd_lcs_verify(args):
 
 
 def _cmd_width(args):
-    G = QuotientGroup(args.p, args.level)
-    entries = width_report(G, args.depth)
+    p, level = _quotient_params(args.p, args.level)
+    depth = _width_depth(args.depth)
+    entries = width_report(QuotientGroup(p, level), depth)
     print("i,gamma_order,width,boundary_flag")
     for e in entries:
         print(f"{e.i},{e.gamma_order},{e.width},{1 if e.boundary_flag else 0}")
@@ -220,9 +224,10 @@ def _cmd_hm_check(args):
 def _cmd_tower_check(args):
     if args.level < 3:
         raise ValueError("tower-check needs --level >= 3 (compares level with level-1)")
-    hi = QuotientGroup(args.p, args.level)
-    lo = QuotientGroup(args.p, args.level - 1)
-    report = tower_consistency(hi, lo, samples=args.samples, seed=args.seed)
+    p, level = _quotient_params(args.p, args.level)
+    samples = _tower_samples(p, level, args.samples)
+    hi, lo = QuotientGroup(p, level), QuotientGroup(p, level - 1)
+    report = tower_consistency(hi, lo, samples=samples, seed=args.seed)
     print(f"mode={report.mode}")
     print(f"pairs={report.pairs_checked}")
     print(f"surjective={_bool(report.surjective)}")

@@ -271,6 +271,15 @@ class _PcSequence:
         return words
 
 
+def _quotient_params(p, level):
+    # (p, level) of a quotient, checked without building it.
+    p = CoeffRing(p).p  # validates primality
+    level = int(level)
+    if level < 2:
+        raise ValueError("quotient level must be >= 2")
+    return p, level
+
+
 class QuotientGroup:
     """The quotient of the Riordan group over F_p at a given level n >= 2."""
 
@@ -279,11 +288,8 @@ class QuotientGroup:
     )
 
     def __init__(self, p, level):
-        ring = CoeffRing(p)  # validates primality
-        level = int(level)
-        if level < 2:
-            raise ValueError("quotient level must be >= 2")
-        self.p = ring.p
+        p, level = _quotient_params(p, level)
+        self.p = p
         self.level = level
         self.na = level - 1
         self.order = p ** (2 * (level - 1))
@@ -603,6 +609,14 @@ class WidthEntry:
     exceeds_bound: bool
 
 
+def _width_depth(depth):
+    # The depth of a width report, checked before any quotient is built.
+    depth = int(depth)
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    return depth
+
+
 def width_report(G, depth):
     """log_p of each lower-central index, with truncation-boundary flags.
 
@@ -610,9 +624,7 @@ def width_report(G, depth):
     rather than the group (the next gamma already falls outside the level);
     exceeds_bound marks widths above 4.
     """
-    depth = int(depth)
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    depth = _width_depth(depth)
     chain = lower_central_series(G, depth + 1)
     entries = []
     for i in range(1, depth + 1):
@@ -745,6 +757,20 @@ def _sampled_pairs(G, samples, seed, proj):
         yield xa + xb, pxa + pxb, ya + yb, pya + pyb
 
 
+def _tower_samples(p, level, samples):
+    # samples as an int, or None for every pair of the level quotient, each
+    # count refused past the cap before any quotient is built.
+    if samples is None:
+        pairs = p ** (4 * (level - 1))
+        require_within_cap(pairs, f"exhaustive tower check needs {pairs} pairs (pass samples=)")
+        return None
+    samples = int(samples)
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    require_within_cap(samples, f"the tower check would draw {samples} sample pairs")
+    return samples
+
+
 def tower_consistency(G_hi, G_lo, samples=None, seed=0):
     """Coordinate truncation is a surjective homomorphism one level down.
 
@@ -757,11 +783,7 @@ def tower_consistency(G_hi, G_lo, samples=None, seed=0):
         raise ValueError("quotients must share the prime")
     if G_hi.level != G_lo.level + 1:
         raise ValueError("levels must be consecutive (high, low)")
-    if samples is not None:
-        samples = int(samples)
-        if samples < 1:
-            raise ValueError(f"samples must be >= 1, got {samples}")
-        require_within_cap(samples, f"the tower check would draw {samples} sample pairs")
+    samples = _tower_samples(G_hi.p, G_hi.level, samples)
     na_hi, na_lo = G_hi.na, G_lo.na
 
     def proj(x):
@@ -777,9 +799,6 @@ def tower_consistency(G_hi, G_lo, samples=None, seed=0):
     labels = tuple(range(2 * na_lo))
     surjective = proj(pad(labels)) == labels
     if samples is None:
-        require_within_cap(
-            G_hi.order**2, f"exhaustive tower check needs {G_hi.order ** 2} pairs (pass samples=)"
-        )
         mode = "exhaustive"
         elems = [(x, proj(x)) for x in G_hi.iter_elements()]
         quadruples = ((x, px, y, py) for x, px in elems for y, py in elems)

@@ -291,6 +291,28 @@ def test_quotient_enumerations_past_the_cap_are_refused(capsys, monkeypatch):
     assert "256 pairs" in err and "cap" in err
 
 
+def test_malformed_quotient_payloads_build_no_group(capsys, monkeypatch):
+    # The sample count, the exhaustive pair count p^(4(level-1)) and the
+    # width depth are refused before any quotient (and its spot check) is built.
+    def built(self, p, level):
+        raise AssertionError(f"QuotientGroup({p}, {level}) was built")
+
+    monkeypatch.setattr(cli.QuotientGroup, "__init__", built)
+    monkeypatch.delenv("RIORDAN_MAX_ELEMS", raising=False)
+    for argv, err in (
+        (("tower-check", "--p", "3", "--level", "6"),
+         "exhaustive tower check needs 3486784401 pairs (pass samples=); the cap is 1048576"),
+        (("tower-check", "--p", "3", "--level", "6", "--samples", "-4"), "samples must be >= 1, got -4"),
+        (("tower-check", "--p", "3", "--level", "4", "--samples", "10000000000"),
+         "the tower check would draw 10000000000 sample pairs; the cap is 1048576"),
+        (("width", "--p", "3", "--level", "4", "--depth", "0"), "depth must be >= 1"),
+        # the prime and the level are still checked first
+        (("tower-check", "--p", "4", "--level", "6", "--samples", "-4"), "modulus must be prime, got 4"),
+        (("width", "--p", "3", "--level", "1", "--depth", "0"), "quotient level must be >= 2"),
+    ):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {err}\n"), argv
+
+
 def test_lcs_verify_over_a_large_prime_is_cheap(capsys):
     # a pc slot takes its powers by square-and-multiply: O(log p) products
     for p in ("1000003", "1000000000000000003"):

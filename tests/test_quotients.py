@@ -118,7 +118,7 @@ def test_quotient_law_matches_series_law():
 def test_quotient_inverse_is_a_two_sided_inverse(p, level):
     # The oracle is the law alone, so it holds even where G.inv and rinv
     # share a kernel: every x at (3,3) and (2,5), samples either side of the
-    # length where the reversion switches to the table inverse.
+    # length where the inverses switch to Newton steps.
     G = QuotientGroup(p, level)
     width = 2 * G.na
     if p ** width <= 256:

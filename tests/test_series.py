@@ -24,7 +24,9 @@ from riordan import (
 from riordan import RiordanElem, rmul, series, to_matrix
 from riordan.series import (
     _MR_LIMIT,
+    _NEWTON_MIN_N,
     _compose,
+    _inv_unit_coeffs,
     _is_prime,
     _mul_coeffs,
     _pack,
@@ -37,6 +39,7 @@ from riordan.series import (
 )
 from util import (
     horner_compose,
+    inv_unit_by_loop,
     mul_coeffs_by_loops,
     powers_by_loops,
     rand_nott,
@@ -322,6 +325,8 @@ def _check_kernels(rng, mod, n):
         fa = horner_compose(a, g, mod)
         fb = fa if b == a else horner_compose(b, g, mod)
         assert _compose([a, b, (0,) * n], g, mod) == [fa, fb, (0,) * n], (mod, n)
+        unit = (1,) + b[1:]
+        assert _inv_unit_coeffs(unit, mod) == inv_unit_by_loop(unit, mod), (mod, n)
         if n >= 2:
             g = (0, 1) + b[2:]
             r = reversion_online(g, mod)[1]
@@ -334,10 +339,38 @@ def test_packed_kernels_match_the_loops(mod):
     for n in range(1, 131):
         a, b = _residues(rng, mod, n), _residues(rng, mod, n)
         assert _mul_coeffs(a, b, mod) == mul_coeffs_by_loops(a, b, mod), n
-    # every length up to past the reversion crossover at 32, then a few long ones
+    # every length up to past the Newton crossover at 32, then a few long ones
     lengths = list(range(1, 41)) + [64, 97, 130]
     for n in lengths if mod is not None else lengths[:-2]:
         _check_kernels(rng, mod, n)
+
+
+def _inverse_draws(rng, mod, n):
+    # (coefficient row, lengths to check): random and all p - 1 (over Z all
+    # -9) at every length, and over Z two rows with magnitudes near 10^6 at
+    # the lengths around the Newton crossover and three long ones.
+    every, some = range(1, n + 1), list(range(1, 41)) + [64, 97, n]
+    yield _residues(rng, mod, n), every
+    yield ((mod - 1,) * n if mod is not None else (-9,) * n), every
+    if mod is None:
+        yield tuple(rng.choice((-1, 1)) * (10**6 - rng.randrange(10)) for _ in range(n)), some
+        yield (10**6,) * n, some
+
+
+@pytest.mark.parametrize("mod", (2, 3, 5, 65537, 10**6 + 3, 10**18 + 3, None))
+def test_inverse_kernels_match_the_loops_at_every_length(mod):
+    # Both inverses commute with truncation, so the loop references at length
+    # 130 give the answer at every shorter length, on both sides of the
+    # Newton crossover.
+    rng = random.Random(2200 + (mod or 0) % 997)
+    n = 130
+    for cs, lengths in _inverse_draws(rng, mod, n):
+        g, unit = (0, 1) + cs[2:], (1,) + cs[1:]
+        r, c = reversion_online(g, mod)[1], inv_unit_by_loop(unit, mod)
+        for k in lengths:
+            assert _inv_unit_coeffs(unit[:k], mod) == c[:k], (mod, k)
+            if k >= 2:
+                assert _reversion(g[:k], None, mod) == (r[:k], None), (mod, k)
 
 
 def _slot_edges(bits):
@@ -380,7 +413,7 @@ def _horner_by_products(f, g, mod):
     return out
 
 
-@pytest.mark.parametrize("mod", (3, 65537, 10**6 + 3, 10**18 + 3))
+@pytest.mark.parametrize("mod", (2, 3, 5, 65537, 10**6 + 3, 10**18 + 3))
 def test_fp_substitutions_at_long_lengths(mod):
     # Past n = 256 at p = 65537 an unreduced baby step overflows its 8-byte
     # slot in the next product, which no length up to 130 shows.
@@ -391,29 +424,49 @@ def test_fp_substitutions_at_long_lengths(mod):
     for sub in (g, (0,) + top[1:]):
         want = [_horner_by_products(f, sub, mod), _horner_by_products(top, sub, mod)]
         assert _compose([f, top], sub, mod) == want
-    if _slot_size((n * (mod - 1) ** 2).bit_length()) in series._UNSIGNED_CODES:
-        # the table inverse; the online loop would take seconds here
-        for g in ((0, 1) + g[2:], (0, 1) + top[2:]):
-            r, fr = _reversion(g, top, mod)
-            assert _horner_by_products(g, r, mod) == (0, 1) + (0,) * (n - 2)
-            assert fr == _horner_by_products(top, r, mod)
+    # the Newton kernels; the reversion loop would take seconds here
+    for g in ((0, 1) + g[2:], (0, 1) + top[2:]):
+        r, fr = _reversion(g, top, mod)
+        assert _horner_by_products(g, r, mod) == (0, 1) + (0,) * (n - 2)
+        assert fr == _horner_by_products(top, r, mod)
+        unit = (1,) + g[1:]
+        assert _inv_unit_coeffs(unit, mod) == inv_unit_by_loop(unit, mod)
 
 
-def test_reversion_solves_the_table_from_length_32(monkeypatch):
-    calls = []
-    by_table = series._reversion_by_table
+def test_newton_steps_run_from_length_32(monkeypatch):
+    # Each Newton step of the reversion composes once at its length, and f(r)
+    # takes one more composition only when f is given; each step of the unit
+    # inverse takes two products.
+    assert _NEWTON_MIN_N == 32
+    composed, multiplied = [], []
+    compose_, mul_ = series._compose, series._mul_coeffs
 
-    def recording(g, f, mod):
-        calls.append(len(g))
-        return by_table(g, f, mod)
+    def recording_compose(fs, g, mod):
+        composed.append(len(g))
+        return compose_(fs, g, mod)
 
-    monkeypatch.setattr(series, "_reversion_by_table", recording)
-    for n in (2, 31, 32, 33):
+    def recording_mul(a, b, mod):
+        multiplied.append(len(a))
+        return mul_(a, b, mod)
+
+    monkeypatch.setattr(series, "_compose", recording_compose)
+    monkeypatch.setattr(series, "_mul_coeffs", recording_mul)
+    steps = {2: [], 31: [], 32: [32], 33: [33], 64: [33, 64]}
+    products = {2: [], 31: [], 32: [32, 16], 33: [33, 16], 64: [32, 16, 64, 32]}
+    for n in steps:
         for mod in (3, 10**18 + 3, None):
             g, f = (0, 1) + (1,) * (n - 2), (2,) * n
             r = reversion_online(g, mod)[1]
+            composed.clear()
             assert _reversion(g, f, mod) == (r, horner_compose(f, r, mod))
-    assert calls == [32, 33]
+            assert composed == steps[n] + [n] * (n >= 32), (mod, n)
+            composed.clear()
+            assert _reversion(g, None, mod) == (r, None)
+            assert composed == steps[n], (mod, n)
+            unit = (1,) + g[1:]
+            multiplied.clear()
+            assert _inv_unit_coeffs(unit, mod) == inv_unit_by_loop(unit, mod)
+            assert multiplied == products[n], (mod, n)
 
 
 def _without_array_codes(monkeypatch):
@@ -427,15 +480,11 @@ def _without_array_codes(monkeypatch):
 def test_kernels_without_array_codes_match_the_loops(monkeypatch, mod):
     _without_array_codes(monkeypatch)
     rng = random.Random(1900 + (mod or 0))
-    for n in list(range(1, 18)) + [32, 33, 64]:
+    # past 32 the inverses take Newton steps on the sliced codec
+    for n in list(range(1, 18)) + [32, 33, 64, 97]:
         _check_kernels(rng, mod, n)
         f, g = _residues(rng, mod, n), (0,) + _residues(rng, mod, n)[1:]
         assert _compose([f], g, mod) == [horner_compose(f, g, mod)], (mod, n)
-        if mod is not None and n >= 32:
-            # the dispatch keeps the loop here, so run the table inverse itself
-            g = (0, 1) + g[2:]
-            r = reversion_online(g, mod)[1]
-            assert series._reversion_by_table(g, f, mod) == (r, horner_compose(f, r, mod)), (mod, n)
 
 
 @pytest.mark.parametrize("arrays", (True, False))
@@ -532,6 +581,25 @@ def test_z_substitutions_match_the_loops_at_long_lengths():
             f, g = draws[name], (0, 1) + draws["-2"][2:]
             assert _compose([f, (0,) * n], g, None) == [horner_compose(f, g, None), (0,) * n], (n, name)
             assert _powers(g, None, first=f) == powers_by_loops(g, None, first=f), (n, name)
+
+
+def test_z_inverses_at_length_300():
+    # Horner's rule on packed Z products takes about 25 s per check here, so
+    # g(r) = x and f(r)(g) = f are checked with _compose, which the tests
+    # above hold to Horner's rule at lengths up to 130.  With magnitudes near
+    # 10^6 the reversion alone takes about 10 s at this length, so those
+    # operands check only the unit inverse.
+    rng = random.Random(1503)
+    n = 300
+    cs = tuple(rng.randrange(-9, 10) for _ in range(n))
+    near = tuple(rng.choice((-1, 1)) * (10**6 - rng.randrange(10)) for _ in range(n))
+    for row in (cs, near):
+        unit = (1,) + row[1:]
+        assert _inv_unit_coeffs(unit, None) == inv_unit_by_loop(unit, None)
+    g, f = (0, 1) + cs[2:], (1,) + cs[1:]
+    r, fr = _reversion(g, f, None)
+    assert _compose([g], r, None) == [(0, 1) + (0,) * (n - 2)]
+    assert _compose([fr], g, None) == [f]
 
 
 def test_z_composition_width_is_what_keeps_it_exact(monkeypatch):

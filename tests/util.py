@@ -103,7 +103,8 @@ def reversion_by_degree(g, mod):
 
 
 # Series-kernel references: the coefficient loops the library ran before its
-# packed kernels (F_p, then Z), for any ring and any integer inputs.
+# packed kernels and its Newton steps (F_p, then Z), for any ring and any
+# integer inputs.
 
 def mul_coeffs_by_loops(a, b, mod):
     """The truncated product of two coefficient sequences of equal length."""
@@ -129,6 +130,20 @@ def powers_by_loops(g, mod, first=None):
     for _ in range(len(g) - 1):
         pw.append(mul_coeffs_by_loops(pw[-1], g, mod))
     return tuple(pw)
+
+
+def inv_unit_by_loop(a, mod):
+    """The inverse of a unit a (a[0] = 1), solved coefficient by coefficient."""
+    n = len(a)
+    out = [0] * n
+    out[0] = 1
+    for k in range(1, n):
+        s = 0
+        for i in range(1, k + 1):
+            if a[i]:
+                s += a[i] * out[k - i]
+        out[k] = -s if mod is None else -s % mod
+    return tuple(out)
 
 
 def reversion_online(g, mod):
