@@ -689,7 +689,7 @@ def hm_generation_check(p, level, m):
     ring = CoeffRing(p)  # validates primality
     # the candidates are exactly the elements of H^m: an enumeration
     candidates = ring.p ** (level - m)
-    require_within_cap(candidates, f"hm-check would build {candidates} twist candidates")
+    require_within_cap(candidates, f"hm-check would build {_power_text(ring.p, level - m)} twist candidates")
     G = QuotientGroup(p, level)
     h = UnitSeries(ring, (1, 1) + (0,) * (level - 1))
     x_series = NottSeries.identity(ring, level)
@@ -757,12 +757,21 @@ def _sampled_pairs(G, samples, seed, proj):
         yield xa + xb, pxa + pxb, ya + yb, pya + pyb
 
 
+def _power_text(p, k):
+    # p^k in decimal, or as "p^k" where the decimal passes the interpreter's
+    # limit on int-to-str conversion (sys.get_int_max_str_digits).
+    try:
+        return str(p**k)
+    except ValueError:
+        return f"{p}^{k}"
+
+
 def _tower_samples(p, level, samples):
     # samples as an int, or None for every pair of the level quotient, each
     # count refused past the cap before any quotient is built.
     if samples is None:
-        pairs = p ** (4 * (level - 1))
-        require_within_cap(pairs, f"exhaustive tower check needs {pairs} pairs (pass samples=)")
+        k = 4 * (level - 1)
+        require_within_cap(p**k, f"exhaustive tower check needs {_power_text(p, k)} pairs (pass samples=)")
         return None
     samples = int(samples)
     if samples < 1:

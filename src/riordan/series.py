@@ -20,7 +20,7 @@ from array import array
 from functools import partial
 from itertools import compress, repeat
 from math import isqrt
-from operator import add, lshift
+from operator import add, lshift, sub
 from operator import index as _as_int
 from operator import mul as _int_mul
 
@@ -181,17 +181,24 @@ def _require_match(a, b):
 _UNSIGNED_CODES = {array(code).itemsize: code for code in "HIQ"} if sys.byteorder == "little" else {}
 _SIGNED_CODES = {array(code).itemsize: code for code in "hiq"} if sys.byteorder == "little" else {}
 
-# From this length on, the unit inverse and the reversion double their
-# precision by Newton steps, seeded by their coefficient loops below it.  In
-# process (2-CPU host, Python 3.11), one Newton step seeded by the loop at
-# about half the length took, against the loop at n = 33, 0.45x the loop's
-# time for the reversion over Z, 0.33x over F_3 and 0.66x at p = 10^18+3, and
-# 0.90x, 0.70x and 1.31x for the unit inverse; at n = 25 the reversion took
-# 0.60x, 0.43x and 0.79x and the unit inverse 1.00x, 0.88x and 1.71x.  The
-# unit inverse at p = 10^18+3, whose slots are read by slices, ties the loop
-# only at n = 49.  One length serves both kernels; at 32, quotient inverses
-# up to level 30 (length 31) keep the loops.
+# From these lengths on, the unit inverse and the reversion double their
+# precision by Newton steps, seeded by their coefficient loops below them.
+# In process (2-CPU host, Python 3.11), one Newton step of the unit inverse
+# seeded by the loop at about half the length took, against the loop at
+# n = 33, 0.90x the loop's time over Z, 0.70x over F_3 and 1.31x at
+# p = 10^18+3, and at n = 25 1.00x, 0.88x and 1.71x; at p = 10^18+3, whose
+# slots are read by slices, it ties the loop only at n = 49.  A reversion step
+# composes once and pays sooner: against its loop (median of six draws with
+# and without f) it took at n = 24 0.73x over Z, 0.58x over F_3 and 0.48x
+# over F_65537, and at n = 25 0.53x, 0.56x and 0.44x.  Where slots are read
+# by slices (p past about 2^29.5 at these lengths) each chunk of f's
+# composition decodes by slices, while the loop carries f(r) almost free:
+# with f the step took 0.97-1.13x the loop's time at n = 24 and 0.89-1.09x at
+# n = 25 for p from 2^31 - 1 to 10^18+3 (0.75-0.87x without f).  There the
+# reversion keeps its loop below _NEWTON_MIN_N, with or without f.  Quotient
+# inverses up to level 22 (length 23) keep the reversion loop.
 _NEWTON_MIN_N = 32
+_REVERSION_NEWTON_MIN_N = 24
 
 
 def _slot_size(width):
@@ -401,23 +408,39 @@ def _compose_width(fs, g):
     return best + n.bit_length() + 2
 
 
+def _newton_update(s, e, mod):
+    # s - x^m e s' mod x^n for n = len(s) and m = n - len(e).  A function of
+    # its own, not a closure in _reversion: a closure would turn the loop's
+    # variables there into cells.
+    k, m = len(e), len(s) - len(e)
+    ds = list(map(_int_mul, range(1, k + 1), s[1 : k + 1]))
+    if mod is not None:
+        ds = [c % mod for c in ds]
+    d = map(sub, s[m:], _mul_coeffs(e, ds, mod))
+    return s[:m] + (tuple(d) if mod is None else tuple([c % mod for c in d]))
+
+
 def _reversion(g, f, mod):
     # (r, f(r)) for r with g(r) = x, g = (0, 1, b2, ...) and f of g's length;
     # f = None skips f(r) and returns (r, None).
     n = len(g)
-    if n >= _NEWTON_MIN_N:
+    newton = n >= _NEWTON_MIN_N
+    if not newton and n >= _REVERSION_NEWTON_MIN_N:
+        # between the two crossovers only where slots have an array code
+        newton = mod is None or _slot_size((n * (mod - 1) ** 2).bit_length()) in _UNSIGNED_CODES
+    if newton:
         # r = g^-1 mod x^m for m = n//2 + 1, so g(r) = x + x^m e.  Newton's
         # step r - x^m e / g'(r) is exact mod x^(2m).  By the chain rule
         # g'(r) r' = 1 + O(x^(m-1)), so r' stands in for 1/g'(r) at the cost
         # of an error O(x^(2m-1)), and 2m - 1 >= n: no inverse, no g'(r).
+        # The same composition gives f(r) at the new r: the step moves r by
+        # d = x^m e r' and d^2 = O(x^(2m)), so f(r - d) = f(r) - f'(r) d, and
+        # f'(r) r' = (f(r))' turns that into f(r) - x^m e (f(r))'.
         m = n // 2 + 1
-        r = _reversion(g[:m], None, mod)[0]
-        e = _compose((g,), r + (0,) * (n - m), mod)[0][m:]
-        dr = list(map(_int_mul, range(1, n - m + 1), r[1 : n - m + 1]))
-        if mod is not None:
-            dr = [c % mod for c in dr]
-        r += _neg(_mul_coeffs(e, dr, mod), mod)
-        return r, None if f is None else _compose((f,), r, mod)[0]
+        r = _reversion(g[:m], None, mod)[0] + (0,) * (n - m)
+        out = _compose((g,) if f is None else (g, f), r, mod)
+        e = out[0][m:]
+        return _newton_update(r, e, mod), None if f is None else _newton_update(out[1], e, mod)
     # [x^m] r^j, j >= 2, needs only r_1..r_{m-1}: convolve column m of r^2..r^m,
     # then r_m = -sum_{j>=2} b_j [x^m] r^j and [x^m] f(r) = f_1 r_m +
     # sum_{j>=2} f_j [x^m] r^j.  No division, so exact over F_p and Z.
@@ -611,9 +634,10 @@ def compose(f, g):
 def comp_inverse(g):
     """The compositional inverse of x + c2 x^2 + ... (two-sided).
 
-    Solved coefficient by coefficient in O(N^3) below length 32, and from
-    there on by Newton steps r <- r - (g(r) - x) r', each one composition
-    and one product that double the precision.
+    Solved coefficient by coefficient in O(N^3) below length 24 (below 32
+    over F_p for p past about 2^29.5), and from there on by Newton steps
+    r <- r - (g(r) - x) r', each one composition and one product that double
+    the precision.
     """
     if not isinstance(g, NottSeries):
         g = TruncSeries.as_nott(g)

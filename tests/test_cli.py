@@ -302,6 +302,11 @@ def test_malformed_quotient_payloads_build_no_group(capsys, monkeypatch):
     for argv, err in (
         (("tower-check", "--p", "3", "--level", "6"),
          "exhaustive tower check needs 3486784401 pairs (pass samples=); the cap is 1048576"),
+        # counts past the interpreter's int-to-str limit of 4300 digits print as p^k
+        (("tower-check", "--p", "3", "--level", "3000"),
+         "exhaustive tower check needs 3^11996 pairs (pass samples=); the cap is 1048576"),
+        (("hm-check", "--p", "3", "--level", "10000", "--m", "2"),
+         "hm-check would build 3^9998 twist candidates; the cap is 1048576"),
         (("tower-check", "--p", "3", "--level", "6", "--samples", "-4"), "samples must be >= 1, got -4"),
         (("tower-check", "--p", "3", "--level", "4", "--samples", "10000000000"),
          "the tower check would draw 10000000000 sample pairs; the cap is 1048576"),

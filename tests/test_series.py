@@ -25,6 +25,7 @@ from riordan import RiordanElem, rmul, series, to_matrix
 from riordan.series import (
     _MR_LIMIT,
     _NEWTON_MIN_N,
+    _REVERSION_NEWTON_MIN_N,
     _compose,
     _inv_unit_coeffs,
     _is_prime,
@@ -359,18 +360,26 @@ def _inverse_draws(rng, mod, n):
 
 @pytest.mark.parametrize("mod", (2, 3, 5, 65537, 10**6 + 3, 10**18 + 3, None))
 def test_inverse_kernels_match_the_loops_at_every_length(mod):
-    # Both inverses commute with truncation, so the loop references at length
-    # 130 give the answer at every shorter length, on both sides of the
-    # Newton crossover.
+    # Both inverses and f(r) commute with truncation, so the loop references
+    # at length 130 give the answer at every shorter length, on both sides of
+    # each Newton crossover.  As in the group inverse, f = 1/h.  f(r) is
+    # sum_j f_j r^j off the loop's power table, which equals
+    # horner_compose(f, r) and over Z takes milliseconds where Horner takes
+    # seconds on the rows near 10^6.  Over F_2 and F_3 the derivatives in the
+    # reversion's step lose every term k a_k with p | k.
     rng = random.Random(2200 + (mod or 0) % 997)
     n = 130
     for cs, lengths in _inverse_draws(rng, mod, n):
         g, unit = (0, 1) + cs[2:], (1,) + cs[1:]
-        r, c = reversion_online(g, mod)[1], inv_unit_by_loop(unit, mod)
+        pw, c = reversion_online(g, mod), inv_unit_by_loop(unit, mod)
+        r = pw[1]
+        fr = tuple(sum(c[j] * pw[j][k] for j in range(k + 1)) for k in range(n))
+        fr = fr if mod is None else tuple(v % mod for v in fr)
         for k in lengths:
             assert _inv_unit_coeffs(unit[:k], mod) == c[:k], (mod, k)
             if k >= 2:
                 assert _reversion(g[:k], None, mod) == (r[:k], None), (mod, k)
+                assert _reversion(g[:k], c[:k], mod) == (r[:k], fr[:k]), (mod, k)
 
 
 def _slot_edges(bits):
@@ -433,11 +442,13 @@ def test_fp_substitutions_at_long_lengths(mod):
         assert _inv_unit_coeffs(unit, mod) == inv_unit_by_loop(unit, mod)
 
 
-def test_newton_steps_run_from_length_32(monkeypatch):
-    # Each Newton step of the reversion composes once at its length, and f(r)
-    # takes one more composition only when f is given; each step of the unit
-    # inverse takes two products.
-    assert _NEWTON_MIN_N == 32
+def test_newton_steps_start_at_each_crossover(monkeypatch):
+    # Each Newton step of the reversion composes once at its length, g and f
+    # in one call, so the compositions are the same with or without f; the
+    # step corrects r, and f(r) when f is given, by one product each.  Each
+    # step of the unit inverse takes two products.  Where slots are read by
+    # slices the reversion, too, starts at 32.
+    assert (_REVERSION_NEWTON_MIN_N, _NEWTON_MIN_N) == (24, 32)
     composed, multiplied = [], []
     compose_, mul_ = series._compose, series._mul_coeffs
 
@@ -451,22 +462,37 @@ def test_newton_steps_run_from_length_32(monkeypatch):
 
     monkeypatch.setattr(series, "_compose", recording_compose)
     monkeypatch.setattr(series, "_mul_coeffs", recording_mul)
-    steps = {2: [], 31: [], 32: [32], 33: [33], 64: [33, 64]}
-    products = {2: [], 31: [], 32: [32, 16], 33: [33, 16], 64: [32, 16, 64, 32]}
+    # n: (lengths composed, product lengths without f, with f)
+    steps = {
+        2: ([], [], []),
+        23: ([], [], []),
+        24: ([24], [11], [11, 11]),
+        25: ([25], [12], [12, 12]),
+        31: ([31], [15], [15, 15]),
+        32: ([32], [15], [15, 15]),
+        33: ([33], [16], [16, 16]),
+        64: ([33, 64], [16, 31], [16, 31, 31]),
+    }
+    products = {32: [32, 16], 33: [33, 16], 64: [32, 16, 64, 32]}
     for n in steps:
         for mod in (3, 10**18 + 3, None):
+            # slots read by slices: the reversion's loop runs up to 32
+            sliced = mod == 10**18 + 3 and n < _NEWTON_MIN_N
+            lengths, bare, with_f = ([], [], []) if sliced else steps[n]
             g, f = (0, 1) + (1,) * (n - 2), (2,) * n
             r = reversion_online(g, mod)[1]
             composed.clear()
+            multiplied.clear()
             assert _reversion(g, f, mod) == (r, horner_compose(f, r, mod))
-            assert composed == steps[n] + [n] * (n >= 32), (mod, n)
+            assert (composed, multiplied) == (lengths, with_f), (mod, n)
             composed.clear()
+            multiplied.clear()
             assert _reversion(g, None, mod) == (r, None)
-            assert composed == steps[n], (mod, n)
+            assert (composed, multiplied) == (lengths, bare), (mod, n)
             unit = (1,) + g[1:]
             multiplied.clear()
             assert _inv_unit_coeffs(unit, mod) == inv_unit_by_loop(unit, mod)
-            assert multiplied == products[n], (mod, n)
+            assert multiplied == products.get(n, []), (mod, n)
 
 
 def _without_array_codes(monkeypatch):
