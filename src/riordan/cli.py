@@ -32,6 +32,7 @@ from .index_sets import (
 )
 from .quotients import (
     QuotientGroup,
+    _lcs_depth,
     _quotient_params,
     _tower_samples,
     _width_depth,
@@ -169,8 +170,9 @@ def _cmd_riordan_array(args):
 
 
 def _cmd_lcs_verify(args):
-    G = QuotientGroup(args.p, args.level)
-    rows = verify_lcs_formula(G, args.depth)
+    p, level = _quotient_params(args.p, args.level)
+    depth = _lcs_depth(args.depth, p)
+    rows = verify_lcs_formula(QuotientGroup(p, level), depth)
     ok = True
     for r in rows:
         verdict = "PASS" if r.passed else "FAIL"
@@ -199,8 +201,9 @@ def _cmd_width(args):
 
 
 def _cmd_gens_check(args):
-    G = QuotientGroup(args.p, args.level)
-    report = generation_check(G, _payload_riordan(args))
+    p, level = _quotient_params(args.p, args.level)
+    candidates = _payload_riordan(args)
+    report = generation_check(QuotientGroup(p, level), candidates)
     print(
         f"level={args.level} p={args.p} subgroup=closure "
         f"order={report.closure_order} generators={report.generators}"

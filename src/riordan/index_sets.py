@@ -31,6 +31,8 @@ from .series import (
     NottSeries,
     UnitSeries,
     _literal_fields,
+    _literal_int,
+    _literal_ints,
     require_within_cap,
 )
 
@@ -302,16 +304,11 @@ def parse_index_set(line):
     if set(fields) != expected:
         raise ValueError("index-set literal needs exactly the fields T, except, period, residues")
 
-    def int_list(raw):
-        if not raw:
-            return ()
-        return tuple(map(int, raw.split(",")))
-
     return IndexSet(
-        threshold=int(fields["T"]),
-        exceptional=int_list(fields["except"]),
-        period=int(fields["period"]),
-        residues=int_list(fields["residues"]),
+        threshold=_literal_int(fields["T"], "threshold"),
+        exceptional=_literal_ints(fields["except"], "exceptional member") if fields["except"] else (),
+        period=_literal_int(fields["period"], "period"),
+        residues=_literal_ints(fields["residues"], "residue") if fields["residues"] else (),
     )
 
 

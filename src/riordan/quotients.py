@@ -546,11 +546,22 @@ def commutator_subgroup(A, B):
     return SubgroupHandle(G, basis, pc.order, pc.__contains__, pc.elements, name="commutator")
 
 
-def lower_central_series(G, depth):
-    """[gamma_1, ..., gamma_depth] with gamma_{i+1} = [G, gamma_i]."""
+def _lcs_depth(depth, p=None):
+    # Checked before any quotient is built; a given p must suit the closed form.
+    if p == 2:
+        raise ValueError(
+            "the lower-central-series closed form requires p > 2; "
+            "lower_central_series still works at p = 2"
+        )
     depth = int(depth)
     if depth < 2:
         raise ValueError("depth must be >= 2")
+    return depth
+
+
+def lower_central_series(G, depth):
+    """[gamma_1, ..., gamma_depth] with gamma_{i+1} = [G, gamma_i]."""
+    depth = _lcs_depth(depth)
     full = G.full_group()
     chain = [full]
     while len(chain) < depth:
@@ -583,12 +594,7 @@ def verify_lcs_formula(G, depth):
     available at p = 2 through lower_central_series).  Equality is decided
     by equal orders plus containment of the expected generators.
     """
-    if G.p == 2:
-        raise ValueError(
-            "the lower-central-series closed form requires p > 2; "
-            "lower_central_series still works at p = 2"
-        )
-    depth = int(depth)
+    depth = _lcs_depth(depth, G.p)
     chain = lower_central_series(G, depth)
     rows = []
     for i in range(2, depth + 1):

@@ -154,11 +154,6 @@ def _require_match(a, b):
 # rings take one slot rule, _slot_size: 2, 4 or 8 bytes, the sizes an array
 # code reads on a little-endian host, else whole bytes read by slices.
 #
-# Over F_p, for operands of length n with residues in [0, p), each product
-# slot below n sums at most n terms of at most (p-1)^2, so a slot of
-# bits(n (p-1)^2) bits never overflows and each slot is the exact integer
-# coefficient.
-#
 # Over Z the slots are signed.  A product of a and b of length n takes a slot
 # of W = bits(max|a|) + bits(max|b|) + bits(n) + 2 bits, so each product
 # coefficient c has |c| < 2^(W-2).  With L-byte slots an operand packs as
@@ -174,37 +169,27 @@ def _require_match(a, b):
 # fit its slots; _compose_width bounds it by Cauchy's estimate.  Over F_p the
 # baby and giant steps and the Horner value after each chunk are reduced to
 # residues, so a chunk's slot adds at most n terms of at most (p-1)^2.
-#
-# The unit inverse and the reversion run coefficient loops on short series
-# and Newton iteration on long ones, in both rings (Brent and Kung, ibid.).
-# The reversion yields r and f(r), no power table.
 _UNSIGNED_CODES = {array(code).itemsize: code for code in "HIQ"} if sys.byteorder == "little" else {}
 _SIGNED_CODES = {array(code).itemsize: code for code in "hiq"} if sys.byteorder == "little" else {}
 
-# From these lengths on, the unit inverse and the reversion double their
-# precision by Newton steps, seeded by their coefficient loops below them.
-# In process (2-CPU host, Python 3.11), one Newton step of the unit inverse
-# seeded by the loop at about half the length took, against the loop at
-# n = 33, 0.90x the loop's time over Z, 0.70x over F_3 and 1.31x at
-# p = 10^18+3, and at n = 25 1.00x, 0.88x and 1.71x; at p = 10^18+3, whose
-# slots are read by slices, it ties the loop only at n = 49.  A reversion step
-# composes once and pays sooner: against its loop (median of six draws with
-# and without f) it took at n = 24 0.73x over Z, 0.58x over F_3 and 0.48x
-# over F_65537, and at n = 25 0.53x, 0.56x and 0.44x.  Where slots are read
-# by slices (p past about 2^29.5 at these lengths) each chunk of f's
-# composition decodes by slices, while the loop carries f(r) almost free:
-# with f the step took 0.97-1.13x the loop's time at n = 24 and 0.89-1.09x at
-# n = 25 for p from 2^31 - 1 to 10^18+3 (0.75-0.87x without f).  There the
-# reversion keeps its loop below _NEWTON_MIN_N, with or without f.  Quotient
-# inverses up to level 22 (length 23) keep the reversion loop.
-_NEWTON_MIN_N = 32
-_REVERSION_NEWTON_MIN_N = 24
+# From this length on, the unit inverse and the reversion take Newton steps
+# (Brent and Kung, ibid.) seeded by their loops; the length alone decides.
+# At n = 24-31 a step took at most 1.12x its loop's time where slots have
+# array codes, but the unit inverse's 1.27-2.33x where slots are read by
+# slices, as at p = 10^18+3 (BENCH_23.json, BENCH_24.json).
+_NEWTON_MIN_N = 24
 
 
 def _slot_size(width):
     # Bytes of a slot of at least width bits: 2, 4 or 8, else whole bytes.
     size = -(-width // 8)
     return 2 if size <= 2 else 4 if size <= 4 else 8 if size <= 8 else size
+
+
+def _residue_slot_size(n, mod):
+    # The F_p slot for length-n operands of residues in [0, p): a product slot
+    # sums at most n terms of at most (p-1)^2, so bits(n (p-1)^2) suffice.
+    return _slot_size((n * (mod - 1) ** 2).bit_length())
 
 
 def _pack(coeffs, size):
@@ -265,7 +250,7 @@ def _mul_coeffs(a, b, mod):
     if mod is None:
         size = _slot_size(_bits(a) + _bits(b) + n.bit_length() + 2)
         return _sunpack(_spack(a, size) * _spack(b, size), n, size)
-    size = _slot_size((n * (mod - 1) ** 2).bit_length())
+    size = _residue_slot_size(n, mod)
     return _unpack(_pack(a, size) * _pack(b, size) & ((1 << 8 * size * n) - 1), n, size, mod)
 
 
@@ -325,7 +310,7 @@ def _powers(g, mod, first=None):
         return tuple(pw)
     # g/x is packed once and each reduced t_j once; g/x is cut to the n - j
     # slots the row keeps, as over Z.
-    size = _slot_size((n * (mod - 1) ** 2).bit_length())
+    size = _residue_slot_size(n, mod)
     bits = 8 * size
     gv, v = _pack(g[1:], size), _pack(pw[0], size)
     for j in range(1, n):
@@ -350,7 +335,7 @@ def _compose(fs, g, mod):
         size = _slot_size(max(width, _bits(g) + 2))
         gv = _spack(g, size)
     else:
-        size = _slot_size((n * (mod - 1) ** 2).bit_length())
+        size = _residue_slot_size(n, mod)
         gv = _pack(g, size)
     bits = 8 * size
 
@@ -424,11 +409,7 @@ def _reversion(g, f, mod):
     # (r, f(r)) for r with g(r) = x, g = (0, 1, b2, ...) and f of g's length;
     # f = None skips f(r) and returns (r, None).
     n = len(g)
-    newton = n >= _NEWTON_MIN_N
-    if not newton and n >= _REVERSION_NEWTON_MIN_N:
-        # between the two crossovers only where slots have an array code
-        newton = mod is None or _slot_size((n * (mod - 1) ** 2).bit_length()) in _UNSIGNED_CODES
-    if newton:
+    if n >= _NEWTON_MIN_N:
         # r = g^-1 mod x^m for m = n//2 + 1, so g(r) = x + x^m e.  Newton's
         # step r - x^m e / g'(r) is exact mod x^(2m).  By the chain rule
         # g'(r) r' = 1 + O(x^(m-1)), so r' stands in for 1/g'(r) at the cost
@@ -610,7 +591,7 @@ def inv_unit(h):
     """The multiplicative inverse of a unit series.
 
     Solved by the convolution recurrence c_k = -sum_{i>=1} a_i c_{k-i}
-    below length 32, and from there on by Newton steps c <- c (2 - h c),
+    below length 24, and from there on by Newton steps c <- c (2 - h c),
     each doubling the precision; if h is in H^n the result is in H^n with
     degree-n coefficient -a_n.
     """
@@ -634,10 +615,9 @@ def compose(f, g):
 def comp_inverse(g):
     """The compositional inverse of x + c2 x^2 + ... (two-sided).
 
-    Solved coefficient by coefficient in O(N^3) below length 24 (below 32
-    over F_p for p past about 2^29.5), and from there on by Newton steps
-    r <- r - (g(r) - x) r', each one composition and one product that double
-    the precision.
+    Solved coefficient by coefficient in O(N^3) below length 24, and from
+    there on by Newton steps r <- r - (g(r) - x) r', each one composition and
+    one product that double the precision.
     """
     if not isinstance(g, NottSeries):
         g = TruncSeries.as_nott(g)
@@ -679,6 +659,27 @@ def _literal_fields(line, kind):
     return fields
 
 
+def _literal_int(tok, what):
+    # The integer rule of every literal: ASCII digits with an optional leading
+    # '-', spaces around.  int() alone also takes '+', '_' and other digits.
+    tok = tok.strip()
+    if not (tok.isascii() and tok.removeprefix("-").isdigit()):
+        raise ValueError(f"malformed {what} {tok!r}")
+    return int(tok)
+
+
+def _literal_ints(text, what):
+    # _literal_int of each comma-separated token.  On ASCII text with no '+'
+    # or '_', int() takes just the rule's tokens, at C speed.
+    tokens = text.split(",")
+    if text.isascii() and "+" not in text and "_" not in text:
+        try:
+            return list(map(int, tokens))
+        except ValueError:
+            pass
+    return [_literal_int(tok, what) for tok in tokens]
+
+
 def parse_series(line):
     fields = _literal_fields(line, "series")
     missing = {"ring", "trunc", "coeffs"} - set(fields)
@@ -692,26 +693,18 @@ def parse_series(line):
     if ringtext == "Z":
         ring = CoeffRing(None)
     elif ringtext.startswith("Fp:"):
-        ptext = ringtext[3:]
-        if not ptext.isdigit():
-            raise ValueError(f"malformed ring {ringtext!r}")
-        ring = CoeffRing(int(ptext))
+        ring = CoeffRing(_literal_int(ringtext[3:], "modulus"))
     else:
         raise ValueError(f"malformed ring {ringtext!r}")
 
-    if not fields["trunc"].isdigit():
-        raise ValueError(f"malformed truncation {fields['trunc']!r}")
-    trunc = int(fields["trunc"])
+    trunc = _literal_int(fields["trunc"], "truncation")
+    if trunc < 0:
+        raise ValueError(f"truncation must be >= 0, got {trunc}")
 
-    coeffs = []
-    for tok in fields["coeffs"].split(","):
-        tok = tok.strip()
-        body = tok[1:] if tok.startswith("-") else tok
-        if not body.isdigit():
-            raise ValueError(f"malformed coefficient {tok!r}")
-        if tok.startswith("-") and ring.p is not None:
-            raise ValueError("negative coefficients are only allowed over Z")
-        coeffs.append(int(tok))
+    coeffs = _literal_ints(fields["coeffs"], "coefficient")
+    # every token passed the rule, so each '-' is a sign
+    if ring.p is not None and "-" in fields["coeffs"]:
+        raise ValueError("negative coefficients are only allowed over Z")
     if len(coeffs) != trunc + 1:
         raise ValueError(f"expected {trunc + 1} coefficients, got {len(coeffs)}")
     return TruncSeries(ring, coeffs)

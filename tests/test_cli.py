@@ -292,13 +292,16 @@ def test_quotient_enumerations_past_the_cap_are_refused(capsys, monkeypatch):
 
 
 def test_malformed_quotient_payloads_build_no_group(capsys, monkeypatch):
-    # The sample count, the exhaustive pair count p^(4(level-1)) and the
-    # width depth are refused before any quotient (and its spot check) is built.
+    # The sample count, the exhaustive pair count p^(4(level-1)), the width
+    # and lower-central-series depths, the prime of the closed form and the
+    # gens-check payload are refused before any quotient (and its spot check)
+    # is built.
     def built(self, p, level):
         raise AssertionError(f"QuotientGroup({p}, {level}) was built")
 
     monkeypatch.setattr(cli.QuotientGroup, "__init__", built)
     monkeypatch.delenv("RIORDAN_MAX_ELEMS", raising=False)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
     for argv, err in (
         (("tower-check", "--p", "3", "--level", "6"),
          "exhaustive tower check needs 3486784401 pairs (pass samples=); the cap is 1048576"),
@@ -311,9 +314,20 @@ def test_malformed_quotient_payloads_build_no_group(capsys, monkeypatch):
         (("tower-check", "--p", "3", "--level", "4", "--samples", "10000000000"),
          "the tower check would draw 10000000000 sample pairs; the cap is 1048576"),
         (("width", "--p", "3", "--level", "4", "--depth", "0"), "depth must be >= 1"),
-        # the prime and the level are still checked first
+        (("lcs-verify", "--p", "3", "--level", "1500", "--depth", "1"), "depth must be >= 2"),
+        (("lcs-verify", "--p", "2", "--level", "1500", "--depth", "3"),
+         "the lower-central-series closed form requires p > 2; lower_central_series still works at p = 2"),
+        # the empty payload on stdin
+        (("gens-check", "--p", "3", "--level", "1500"), "riordan literals occupy 3 lines each (riordan / h / g)"),
+        # the prime and the level are still checked first, then the closed form's prime
         (("tower-check", "--p", "4", "--level", "6", "--samples", "-4"), "modulus must be prime, got 4"),
         (("width", "--p", "3", "--level", "1", "--depth", "0"), "quotient level must be >= 2"),
+        (("lcs-verify", "--p", "4", "--level", "1", "--depth", "1"), "modulus must be prime, got 4"),
+        (("lcs-verify", "--p", "3", "--level", "1", "--depth", "1"), "quotient level must be >= 2"),
+        (("lcs-verify", "--p", "2", "--level", "3", "--depth", "1"),
+         "the lower-central-series closed form requires p > 2; lower_central_series still works at p = 2"),
+        (("gens-check", "--p", "4", "--level", "1"), "modulus must be prime, got 4"),
+        (("gens-check", "--p", "3", "--level", "1"), "quotient level must be >= 2"),
     ):
         assert run_cli(capsys, *argv) == (2, "", f"error: {err}\n"), argv
 

@@ -750,6 +750,14 @@ def test_parse_format_round_trip():
         "T=0; except=; period=0; residues=0",
         "T=-1; except=; period=1; residues=",
         "T=0; except=; period=1; residues=; junk=1",
+        # int() alone takes '_', '+' and non-ASCII digits
+        "T=0; except=; period=1_0; residues=+3,0_1",
+        "T=0; except=; period=10; residues=+3",
+        "T=0; except=; period=10; residues=0_1",
+        "T=0; except=; period=٩; residues=٨",
+        "T=0; except=; period=10; residues=٨",
+        "T=٠; except=; period=1; residues=",
+        "T=2; except=+1; period=1; residues=",
     ):
         with pytest.raises(ValueError):
             parse_index_set(bad)
@@ -760,6 +768,9 @@ def test_parse_format_round_trip():
         ("T=0; except=y; period=z; residues=w", "'y'"),
         ("T=0; except=; period=z; residues=w", "'z'"),
         ("T=-1; except=; period=0; residues=1,w", "'w'"),
+        ("T=0; except=; period=1_0; residues=+3,0_1", "malformed period '1_0'"),
+        ("T=0; except=; period=10; residues=3,+3", "malformed residue '\\+3'"),
+        ("T=0; except=; period=10; residues= ٨ ", "malformed residue '٨'"),
         ("T=-1; except=; period=0; residues=1", "threshold must be >= 0"),
         ("T=0; except=; period=0; residues=1", "period must be >= 1"),
         ("T=2; except=5; period=3; residues=3", r"residues must lie in \[0, period\)"),

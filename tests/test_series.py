@@ -25,7 +25,6 @@ from riordan import RiordanElem, rmul, series, to_matrix
 from riordan.series import (
     _MR_LIMIT,
     _NEWTON_MIN_N,
-    _REVERSION_NEWTON_MIN_N,
     _compose,
     _inv_unit_coeffs,
     _is_prime,
@@ -340,7 +339,7 @@ def test_packed_kernels_match_the_loops(mod):
     for n in range(1, 131):
         a, b = _residues(rng, mod, n), _residues(rng, mod, n)
         assert _mul_coeffs(a, b, mod) == mul_coeffs_by_loops(a, b, mod), n
-    # every length up to past the Newton crossover at 32, then a few long ones
+    # every length up to past the Newton crossover at 24, then a few long ones
     lengths = list(range(1, 41)) + [64, 97, 130]
     for n in lengths if mod is not None else lengths[:-2]:
         _check_kernels(rng, mod, n)
@@ -442,13 +441,21 @@ def test_fp_substitutions_at_long_lengths(mod):
         assert _inv_unit_coeffs(unit, mod) == inv_unit_by_loop(unit, mod)
 
 
+def _without_array_codes(monkeypatch):
+    # A host with no array code for a slot, as on a big-endian one, whose
+    # array items are not little-endian slots: every slot is read by slices.
+    monkeypatch.setattr(series, "_UNSIGNED_CODES", {})
+    monkeypatch.setattr(series, "_SIGNED_CODES", {})
+
+
 def test_newton_steps_start_at_each_crossover(monkeypatch):
-    # Each Newton step of the reversion composes once at its length, g and f
-    # in one call, so the compositions are the same with or without f; the
-    # step corrects r, and f(r) when f is given, by one product each.  Each
-    # step of the unit inverse takes two products.  Where slots are read by
-    # slices the reversion, too, starts at 32.
-    assert (_REVERSION_NEWTON_MIN_N, _NEWTON_MIN_N) == (24, 32)
+    # Both inverses take Newton steps from one length, whatever the ring, the
+    # slot size or the host's array codes.  Each Newton step of the reversion
+    # composes once at its length, g and f in one call, so the compositions
+    # are the same with or without f; the step corrects r, and f(r) when f is
+    # given, by one product each.  Each step of the unit inverse takes two
+    # products.
+    assert _NEWTON_MIN_N == 24
     composed, multiplied = [], []
     compose_, mul_ = series._compose, series._mul_coeffs
 
@@ -473,41 +480,35 @@ def test_newton_steps_start_at_each_crossover(monkeypatch):
         33: ([33], [16], [16, 16]),
         64: ([33, 64], [16, 31], [16, 31, 31]),
     }
-    products = {32: [32, 16], 33: [33, 16], 64: [32, 16, 64, 32]}
-    for n in steps:
-        for mod in (3, 10**18 + 3, None):
-            # slots read by slices: the reversion's loop runs up to 32
-            sliced = mod == 10**18 + 3 and n < _NEWTON_MIN_N
-            lengths, bare, with_f = ([], [], []) if sliced else steps[n]
-            g, f = (0, 1) + (1,) * (n - 2), (2,) * n
-            r = reversion_online(g, mod)[1]
-            composed.clear()
-            multiplied.clear()
-            assert _reversion(g, f, mod) == (r, horner_compose(f, r, mod))
-            assert (composed, multiplied) == (lengths, with_f), (mod, n)
-            composed.clear()
-            multiplied.clear()
-            assert _reversion(g, None, mod) == (r, None)
-            assert (composed, multiplied) == (lengths, bare), (mod, n)
-            unit = (1,) + g[1:]
-            multiplied.clear()
-            assert _inv_unit_coeffs(unit, mod) == inv_unit_by_loop(unit, mod)
-            assert multiplied == products.get(n, []), (mod, n)
-
-
-def _without_array_codes(monkeypatch):
-    # A host with no array code for a slot, as on a big-endian one, whose
-    # array items are not little-endian slots: every slot is read by slices.
-    monkeypatch.setattr(series, "_UNSIGNED_CODES", {})
-    monkeypatch.setattr(series, "_SIGNED_CODES", {})
+    # n: the unit inverse's product lengths
+    products = {24: [24, 12], 25: [25, 12], 31: [31, 15], 32: [32, 16], 33: [33, 16], 64: [32, 16, 64, 32]}
+    for arrays in (True, False):
+        if not arrays:
+            _without_array_codes(monkeypatch)
+        for n, (lengths, bare, with_f) in steps.items():
+            for mod in (3, 10**18 + 3, None):
+                g, f = (0, 1) + (1,) * (n - 2), (2,) * n
+                r = reversion_online(g, mod)[1]
+                composed.clear()
+                multiplied.clear()
+                assert _reversion(g, f, mod) == (r, horner_compose(f, r, mod))
+                assert (composed, multiplied) == (lengths, with_f), (arrays, mod, n)
+                composed.clear()
+                multiplied.clear()
+                assert _reversion(g, None, mod) == (r, None)
+                assert (composed, multiplied) == (lengths, bare), (arrays, mod, n)
+                unit = (1,) + g[1:]
+                multiplied.clear()
+                assert _inv_unit_coeffs(unit, mod) == inv_unit_by_loop(unit, mod)
+                assert multiplied == products.get(n, []), (arrays, mod, n)
 
 
 @pytest.mark.parametrize("mod", (2, 3, 5, None))
 def test_kernels_without_array_codes_match_the_loops(monkeypatch, mod):
     _without_array_codes(monkeypatch)
     rng = random.Random(1900 + (mod or 0))
-    # past 32 the inverses take Newton steps on the sliced codec
-    for n in list(range(1, 18)) + [32, 33, 64, 97]:
+    # from 24 the inverses take Newton steps on the sliced codec
+    for n in list(range(1, 18)) + [24, 32, 33, 64, 97]:
         _check_kernels(rng, mod, n)
         f, g = _residues(rng, mod, n), (0,) + _residues(rng, mod, n)[1:]
         assert _compose([f], g, mod) == [horner_compose(f, g, mod)], (mod, n)
@@ -752,6 +753,13 @@ def test_parse_rejects_malformed_literals():
         "trunc=1; coeffs=1,2",                     # missing field
         "ring=Z; trunc=1; coeffs=1,2; coeffs=1,2", # duplicate field
         "ring=Z; trunc=1; coeffs=1,x",             # junk coefficient
+        "ring=Z; trunc=2; coeffs=1,١,0",           # non-ASCII digit
+        "ring=Fp:٣; trunc=1; coeffs=1,2",          # non-ASCII modulus
+        "ring=Z; trunc=٢; coeffs=1,2,0",           # non-ASCII truncation
+        "ring=Z; trunc=1; coeffs=+1,2",            # plus sign
+        "ring=Z; trunc=1; coeffs=1,0_2",           # underscore
+        "ring=Z; trunc=1_0; coeffs=1,2",           # underscore in the truncation
+        "ring=Z; trunc=-1; coeffs=1",              # negative truncation
     )
     for line in bad:
         with pytest.raises(ValueError):

@@ -47,7 +47,7 @@ def test_z_composition_is_associative(fgh):
 @st.composite
 def substitutions(draw):
     # g = x + ... of length 2..130 over Z (magnitudes as above) or over F_p,
-    # on both sides of the Newton crossover at length 32.
+    # on both sides of the Newton crossover at length 24.
     p = draw(st.sampled_from((None, 2, 3, 5, 65537, 10**18 + 3)))
     n = draw(st.integers(2, 130))
     cs = coefficients if p is None else st.integers(0, p - 1)
