@@ -34,6 +34,7 @@ from .quotients import (
     QuotientGroup,
     _lcs_depth,
     _quotient_params,
+    _require_fits,
     _tower_samples,
     _width_depth,
     generation_check,
@@ -203,6 +204,8 @@ def _cmd_width(args):
 def _cmd_gens_check(args):
     p, level = _quotient_params(args.p, args.level)
     candidates = _payload_riordan(args)
+    for a in candidates:
+        _require_fits(a, p, level)
     report = generation_check(QuotientGroup(p, level), candidates)
     print(
         f"level={args.level} p={args.p} subgroup=closure "
@@ -312,13 +315,12 @@ def _cmd_spectrum(args):
         if value is not None:
             params[key] = value
     report = spectrum_sample(args.p, args.family, params)
-    print(f"family={report.family}")
-    for key in ("s", "r", "u", "xi"):
-        if key in report.params:
-            print(f"param_{key}={report.params[key]}")
-    print(f"I={format_index_set(report.I)}")
-    print(f"J={format_index_set(report.J)}")
-    print(f"dimension={_frac(report.closed_form)}")
+    # every line is formatted before the first prints, so a failure prints none
+    lines = [f"family={report.family}"]
+    lines += [f"param_{key}={report.params[key]}" for key in ("s", "r", "u", "xi") if key in report.params]
+    lines += [f"I={format_index_set(report.I)}", f"J={format_index_set(report.J)}"]
+    lines.append(f"dimension={_frac(report.closed_form)}")
+    print("\n".join(lines))
     return 0
 
 

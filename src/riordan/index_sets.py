@@ -23,16 +23,18 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, log10
 
 from .group import RiordanElem, rinv, rmul
 from .series import (
     CoeffRing,
     NottSeries,
     UnitSeries,
+    _int_str_limit,
     _literal_fields,
     _literal_int,
     _literal_ints,
+    require_power_within_cap,
     require_within_cap,
 )
 
@@ -247,9 +249,12 @@ class IndexSet:
             raise TypeError("expected an IndexSet")
         m = lcm(self.period, other.period)
         t = max(self.threshold, other.threshold)
+        # the lcm of two printable periods can pass the int-to-str limit
+        digits = _int_str_limit()
+        m_text = m if log10(m) < digits else f"at least 10^{digits}"
         require_within_cap(
             max(m, t),
-            f"combining index sets needs lcm(periods)={m} residues and a threshold of {t}",
+            f"combining index sets needs lcm(periods)={m_text} residues and a threshold of {t}",
         )
         t = max(t, 1)
         a, b = (int.from_bytes(_member_flags(s, t + m - 1), "little") for s in (self, other))
@@ -952,7 +957,7 @@ class FiltrationSpec:
             toks = raw.replace(",", " ").split()
             if len(toks) != 2:
                 raise ValueError(f"malformed table line {raw!r}")
-            table[int(toks[0])] = int(toks[1])
+            table[_literal_int(toks[0], "table index")] = _literal_int(toks[1], "table value")
         return cls.from_table(table)
 
     def value(self, n):
@@ -1188,16 +1193,18 @@ def spectrum_sample(p, family, params):
         if r < 1:
             raise ValueError("p-power needs r >= 1")
         I = IndexSet.multiples(p)
-        J = IndexSet.multiples(p**r).union(pm1)
-        closed = Fraction(1, p) + Fraction(1, 2 * p**r)
+        P = require_power_within_cap(p, r, "p-power builds J with period {}")
+        J = IndexSet.multiples(P).union(pm1)
+        closed = Fraction(1, p) + Fraction(1, 2 * P)
     elif family == "half-plus":
         need("r")
         r = int(params["r"])
         if r < 1:
             raise ValueError("half-plus needs r >= 1")
         I = IndexSet.naturals()
-        J = IndexSet.multiples(p**r).union(pm1)
-        closed = Fraction(1, 2) + Fraction(1, 2 * p) + Fraction(1, 2 * p**r)
+        P = require_power_within_cap(p, r, "half-plus builds J with period {}")
+        J = IndexSet.multiples(P).union(pm1)
+        closed = Fraction(1, 2) + Fraction(1, 2 * p) + Fraction(1, 2 * P)
     elif family == "band":
         need("s", "xi")
         s = int(params["s"])
@@ -1214,6 +1221,12 @@ def spectrum_sample(p, family, params):
             raise ValueError("lattice needs s >= 1 coprime to p")
         if r < 1 or u < 1:
             raise ValueError("lattice needs r >= 1 and u >= 1")
+        digits = _int_str_limit()
+        if log10(s) + r * log10(p) >= digits or log10(s) + log10(u) >= digits:
+            raise ValueError(
+                f"lattice periods s*p^r and s*u must have at most {digits} digits, "
+                "the interpreter's limit on int-to-str conversion"
+            )
         I = IndexSet.multiples(s * p**r)
         J = IndexSet.multiples(s * u)
         closed = Fraction(1, 2 * s * p**r) + Fraction(1, 2 * s * u)

@@ -21,12 +21,15 @@ generation of H^m, the projection tower, and sigma-filtration containments.
 Subgroup orders, memberships and equalities cost polynomial work in the
 level and in log p; only an explicit element_set() enumerates, and every
 enumeration is counted against the enumeration cap by
-series.require_within_cap before it starts.  The whole quotient is the
-closure of its coordinate generators, which keeps three of them (four at
-p = 2 from level 7 on), and every product in the engine takes its left
-factor from a small fixed set (the basis, the stored squares of its
-inverses, the inverse powers its sifts built up to p = _SIFT_MEMO_MAX_P,
-and the conjugators), so the power cache hits.
+series.require_within_cap before it starts.  Membership in a band
+H^m semidirect N^n is a coordinate test and takes no product; the whole
+quotient is the band H^1 semidirect N^1, carrying the three coordinate
+generators its closure keeps (four at p = 2 from level 7 on), and a
+computed subgroup equals a band when the orders agree and its generators
+pass the band's test.  Every product in the engine takes its left factor
+from a small fixed set (the basis, the stored squares of its inverses, the
+inverse powers its sifts built up to p = _SIFT_MEMO_MAX_P, and the
+conjugators), so the power cache hits.
 
 Everything returned is immutable; closure work touches no shared mutable
 state beyond a per-group cache of packed substitution powers, bounded by
@@ -52,6 +55,7 @@ from .series import (
     _inv_unit_coeffs,
     _powers,
     _reversion,
+    require_power_within_cap,
     require_within_cap,
     twist,
 )
@@ -280,6 +284,15 @@ def _quotient_params(p, level):
     return p, level
 
 
+def _require_fits(a, p, level):
+    # A Riordan element's ring and truncation must suit the (p, level)
+    # quotient; checked without building it.
+    if a.ring.p != p:
+        raise ValueError(f"element ring {a.ring} does not match F_{p}")
+    if a.trunc < level:
+        raise ValueError(f"truncation {a.trunc} is below the quotient level {level}")
+
+
 class QuotientGroup:
     """The quotient of the Riordan group over F_p at a given level n >= 2."""
 
@@ -311,11 +324,8 @@ class QuotientGroup:
         """
         if not isinstance(a, RiordanElem):
             raise TypeError("canonicalize expects a RiordanElem")
-        if a.ring.p != self.p:
-            raise ValueError(f"element ring {a.ring} does not match F_{self.p}")
         n = self.level
-        if a.trunc < n:
-            raise ValueError(f"truncation {a.trunc} is below the quotient level {n}")
+        _require_fits(a, self.p, n)
         return tuple(a.h.coeffs[1:n]) + tuple(a.g.coeffs[2 : n + 1])
 
     def lift(self, x):
@@ -497,23 +507,26 @@ class QuotientGroup:
         )
 
     def full_group(self):
-        """The whole quotient as the closure of its coordinate generators.
+        """The whole quotient as the band H^1 semidirect N^1, with few generators.
 
-        The generators go in pc slot order a_1, b_2, a_2, b_3, ..., and
-        subgroup() keeps only those not yet generated: three at odd p from
-        level 3 on (G/Phi(G) has rank 3, by the Burnside basis theorem), four
-        at p = 2 from level 7 on.  The pc order certifies the set.
+        The closure of the coordinate generators, taken in pc slot order
+        a_1, b_2, a_2, b_3, ..., keeps only those not yet generated: three at
+        odd p from level 3 on (G/Phi(G) has rank 3, by the Burnside basis
+        theorem), four at p = 2 from level 7 on.  Its pc order certifies that
+        they generate; the handle carries them, and its membership and
+        element set are the band's coordinate test and enumeration.
         """
         if self._full is None:
             width = 2 * self.na
             units = [tuple(int(i == c) for i in range(width)) for c in self.pc_coords]
-            handle = self.subgroup(units)
-            if handle.order != self.order:
+            closure = self.subgroup(units)
+            if closure.order != self.order:
                 raise RuntimeError(
-                    f"the coordinate generators close to order {handle.order}, not "
+                    f"the coordinate generators close to order {closure.order}, not "
                     f"{self.order}, at p={self.p}, level={self.level}"
                 )
-            handle.name = "R"
+            handle = self.standard_subgroup(1, 1)
+            handle.gens, handle.name = closure.gens, "R"
             self._full = handle
         return self._full
 
@@ -592,7 +605,8 @@ def verify_lcs_formula(G, depth):
 
     tau = i + floor((i-2)/(p-1)); requires p > 2 (the series itself stays
     available at p = 2 through lower_central_series).  Equality is decided
-    by equal orders plus containment of the expected generators.
+    by equal orders and by every generator of gamma_i passing the band's
+    coordinate test: a subgroup inside a band of its own order is the band.
     """
     depth = _lcs_depth(depth, G.p)
     chain = lower_central_series(G, depth)
@@ -601,7 +615,7 @@ def verify_lcs_formula(G, depth):
         tau = lcs_level_exponent(i, G.p)
         expected = G.standard_subgroup(tau, tau + 1)
         brute = chain[i - 1]
-        ok = brute.order == expected.order and all(g in brute for g in expected.gens)
+        ok = brute.order == expected.order and all(g in expected for g in brute.gens)
         rows.append(LcsCheckRow(i, tau, brute.order, expected.order, ok))
     return rows
 
@@ -687,15 +701,15 @@ def hm_generation_check(p, level, m):
     """Twists of 1+x against depth-(m-1) substitutions generate H^m.
 
     The twist representatives run over cosets of N^(m-1) modulo N^(level-1);
-    their closure inside the quotient is compared with the image of H^m.
+    their closure matches the image of H^m when the orders agree and every
+    kept generator passes its coordinate test.
     """
     level, m = int(level), int(m)
     if not 2 <= m < level:
         raise ValueError("need 2 <= m < level")
     ring = CoeffRing(p)  # validates primality
     # the candidates are exactly the elements of H^m: an enumeration
-    candidates = ring.p ** (level - m)
-    require_within_cap(candidates, f"hm-check would build {_power_text(ring.p, level - m)} twist candidates")
+    require_power_within_cap(ring.p, level - m, "hm-check would build {} twist candidates")
     G = QuotientGroup(p, level)
     h = UnitSeries(ring, (1, 1) + (0,) * (level - 1))
     x_series = NottSeries.identity(ring, level)
@@ -709,7 +723,7 @@ def hm_generation_check(p, level, m):
         gens.append(G.canonicalize(RiordanElem(t, x_series)))
     handle = G.subgroup(gens)
     expected = G.standard_subgroup(m, level)
-    matches = handle.order == expected.order and all(g in handle for g in expected.gens)
+    matches = handle.order == expected.order and all(g in expected for g in handle.gens)
     return HmGenerationReport(
         matches, handle.order, expected.order, G.p, level, m, len(handle.gens)
     )
@@ -763,21 +777,11 @@ def _sampled_pairs(G, samples, seed, proj):
         yield xa + xb, pxa + pxb, ya + yb, pya + pyb
 
 
-def _power_text(p, k):
-    # p^k in decimal, or as "p^k" where the decimal passes the interpreter's
-    # limit on int-to-str conversion (sys.get_int_max_str_digits).
-    try:
-        return str(p**k)
-    except ValueError:
-        return f"{p}^{k}"
-
-
 def _tower_samples(p, level, samples):
     # samples as an int, or None for every pair of the level quotient, each
     # count refused past the cap before any quotient is built.
     if samples is None:
-        k = 4 * (level - 1)
-        require_within_cap(p**k, f"exhaustive tower check needs {_power_text(p, k)} pairs (pass samples=)")
+        require_power_within_cap(p, 4 * (level - 1), "exhaustive tower check needs {} pairs (pass samples=)")
         return None
     samples = int(samples)
     if samples < 1:

@@ -9,7 +9,8 @@ Operations never mix rings or truncations; move down explicitly with
 Values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads.  The module
 also holds the enumeration cap that the quotient and index-set layers share,
-and require_within_cap, the one place that refuses an enumeration past it.
+and the two places that refuse an enumeration past it: require_within_cap
+for a count and require_power_within_cap for a count p^k.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 from array import array
 from functools import partial
 from itertools import compress, repeat
-from math import isqrt
+from math import isqrt, log10
 from operator import add, lshift, sub
 from operator import index as _as_int
 from operator import mul as _int_mul
@@ -51,6 +52,37 @@ def require_within_cap(count, what):
     cap = max_elements()
     if count > cap:
         raise CapExceededError(f"{what}; the cap is {cap}")
+
+
+def _int_str_limit():
+    # The interpreter's limit on int-to-str conversion, in digits; its
+    # default where the limit is switched off.
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
+def _power_text(p, k):
+    # p^k in decimal, or "p^k" where the decimal would pass _int_str_limit();
+    # p^k is not computed then.  p^k has floor(k log10 p) + 1 digits.
+    if k * log10(p) >= _int_str_limit():
+        return f"{p}^{k}"
+    return str(p**k)
+
+
+def require_power_within_cap(p, k, what):
+    """Refuse p^k items above the cap, before computing p^k when it is large.
+
+    what has one {} for the count, which is written in decimal, or as "p^k"
+    past the interpreter's int-to-str limit.  p^k >= 2^(k (bits(p) - 1)),
+    so once that exponent reaches the cap's bit length p^k is refused from
+    k alone; otherwise p^k is computed (about twice the cap's bits at most)
+    and returned when it is within the cap.
+    """
+    cap = max_elements()
+    if k * (p.bit_length() - 1) < cap.bit_length():
+        count = p**k
+        if count <= cap:
+            return count
+    raise CapExceededError(f"{what.format(_power_text(p, k))}; the cap is {cap}")
 
 
 # Deterministic Miller-Rabin: the first 13 prime bases decide every n below

@@ -328,8 +328,53 @@ def test_malformed_quotient_payloads_build_no_group(capsys, monkeypatch):
          "the lower-central-series closed form requires p > 2; lower_central_series still works at p = 2"),
         (("gens-check", "--p", "4", "--level", "1"), "modulus must be prime, got 4"),
         (("gens-check", "--p", "3", "--level", "1"), "quotient level must be >= 2"),
+        (("tower-check", "--p", "3", "--level", "2"), "tower-check needs --level >= 3 (compares level with level-1)"),
     ):
         assert run_cli(capsys, *argv) == (2, "", f"error: {err}\n"), argv
+    # a well-formed element that does not fit the quotient: its ring is
+    # checked first, then its truncation
+    for literal, err in (
+        (ELEM_F5_T2 + ELEM_F3_T2, "element ring Fp:5 does not match F_3"),
+        (ELEM_F3_T2 + ELEM_F5_T2, "truncation 2 is below the quotient level 1500"),
+    ):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(literal))
+        assert run_cli(capsys, "gens-check", "--p", "3", "--level", "1500") == (2, "", f"error: {err}\n")
+
+
+ELEM_F5_T2 = "riordan\nring=Fp:5; trunc=2; coeffs=1,1,0\nring=Fp:5; trunc=2; coeffs=0,1,0\n"
+ELEM_F3_T2 = "riordan\nring=Fp:3; trunc=2; coeffs=1,1,0\nring=Fp:3; trunc=2; coeffs=0,1,0\n"
+
+
+def test_power_counts_are_refused_before_they_are_computed(capsys, monkeypatch):
+    # each count is p^k for an exponent k far too large to build p^k, or a
+    # period past the interpreter's int-to-str limit of 4300 digits
+    monkeypatch.delenv("RIORDAN_MAX_ELEMS", raising=False)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(ELEM_F5_T2))
+    lattice = "lattice periods s*p^r and s*u must have at most 4300 digits, the interpreter's limit on int-to-str conversion"
+    for argv, err in (
+        (("gens-check", "--p", "3", "--level", "100000"), "element ring Fp:5 does not match F_3"),
+        (("tower-check", "--p", "3", "--level", "10000000"),
+         "exhaustive tower check needs 3^39999996 pairs (pass samples=); the cap is 1048576"),
+        (("hm-check", "--p", "3", "--level", "100000000", "--m", "2"),
+         "hm-check would build 3^99999998 twist candidates; the cap is 1048576"),
+        (("spectrum", "--p", "3", "--family", "p-power", "--r", "100000000"),
+         "p-power builds J with period 3^100000000; the cap is 1048576"),
+        (("spectrum", "--p", "3", "--family", "p-power", "--r", "100000"),
+         "p-power builds J with period 3^100000; the cap is 1048576"),
+        (("spectrum", "--p", "3", "--family", "p-power", "--r", "13"),
+         "p-power builds J with period 1594323; the cap is 1048576"),
+        (("spectrum", "--p", "3", "--family", "half-plus", "--r", "100000"),
+         "half-plus builds J with period 3^100000; the cap is 1048576"),
+        (("spectrum", "--p", "3", "--family", "lattice", "--s", "1", "--r", "10000", "--u", "1"), lattice),
+        (("spectrum", "--p", "3", "--family", "lattice", "--s", "1", "--r", "100000000", "--u", "1"), lattice),
+        (("spectrum", "--p", "3", "--family", "lattice", "--s", "2", "--r", "1", "--u", "9" * 4300), lattice),
+    ):
+        start = time.perf_counter()
+        assert run_cli(capsys, *argv) == (2, "", f"error: {err}\n"), argv
+        assert time.perf_counter() - start < 1, argv
+    # a lattice period just within the limit still answers
+    code, out, err = run_cli(capsys, "spectrum", "--p", "3", "--family", "lattice", "--s", "1", "--r", "30", "--u", "1")
+    assert (code, err) == (0, "") and f"I=T=0; except=; period={3**30}; residues=0\n" in out
 
 
 def test_lcs_verify_over_a_large_prime_is_cheap(capsys):
@@ -384,6 +429,11 @@ def test_bad_filtrations_exit_2(capsys, tmp_path):
         "bogus": "filtration must be",
         "table:" + payload(tmp_path, "1 1\n2 1 1\n", "three.txt"): "malformed table line",
         "table:" + payload(tmp_path, "1 1\n2 3\n3 3\n", "superadd.txt"): "subadditive",
+        # the integer rule of every literal: no '+', no '_'
+        "table:" + payload(tmp_path, "1 1\n2 +2\n", "plus.txt"): "malformed table value '+2'",
+        "table:" + payload(tmp_path, "1 1\n2 1_0\n", "underscore.txt"): "malformed table value '1_0'",
+        "table:" + payload(tmp_path, "1 1\n+2 2\n", "plusindex.txt"): "malformed table index '+2'",
+        "table:" + payload(tmp_path, "1 1\n2 x\n", "letter.txt"): "malformed table value 'x'",
         "table:" + str(tmp_path / "absent.txt"): "absent.txt",
     }
     for filtration, named in bad.items():

@@ -445,6 +445,17 @@ def test_set_algebra_past_the_cap_is_refused_before_any_row(monkeypatch):
     assert rows == []
 
 
+def test_set_algebra_past_the_int_to_str_limit_names_no_decimal():
+    # two printable periods whose lcm has 5874 digits, past the 4300-digit limit
+    a, b = IndexSet(period=2**10000, residues={0}), IndexSet(period=3**6000, residues={0})
+    with pytest.raises(CapExceededError) as info:
+        a.union(b)
+    assert str(info.value) == (
+        "combining index sets needs lcm(periods)=at least 10^4300 residues and a threshold of 0; "
+        f"the cap is {max_elements()}"
+    )
+
+
 def test_admissible_agrees_with_brute_oracle_past_target_thresholds():
     # I keeps every integer up to 2*bound and most of a longer exceptional
     # run, so condition 3 sends partner values below I's threshold (where
@@ -660,6 +671,10 @@ def test_filtration_specs():
     assert FiltrationSpec.from_table_lines(["1 1", "2,1", "# note", "3 2"]).value(3) == 2
     with pytest.raises(ValueError):
         FiltrationSpec.from_table_lines(["1 1 1"])
+    # tokens follow the integer rule of every literal, so int()'s extras fail
+    for line in ("2 +2", "2 1_0", "2 \u0662", "\u0662 2"):
+        with pytest.raises(ValueError, match="malformed table"):
+            FiltrationSpec.from_table_lines(["1 1", line])
 
 
 def test_hausdorff_pins():

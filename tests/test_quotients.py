@@ -171,16 +171,40 @@ def test_full_group_over_a_large_prime_takes_few_products(monkeypatch):
     assert len(calls) < 1000
 
 
+def test_band_membership_and_equality_take_no_products(monkeypatch):
+    # the whole quotient is the band H^1xN^1: every tuple is a member by its
+    # coordinates, and gamma_i = H^tau x N^(tau+1) is decided by testing
+    # gamma_i's generators against the band, not by sifting into gamma_i
+    G = QuotientGroup(3, 8)
+    full = G.full_group()
+    chain = lower_central_series(G, 6)
+    law, calls = QuotientGroup.mul, []
+
+    def counting(self, x, y):
+        calls.append(None)
+        return law(self, x, y)
+
+    monkeypatch.setattr(QuotientGroup, "mul", counting)
+    monkeypatch.setattr(quotients, "lower_central_series", lambda G, depth: chain)
+    rng = random.Random(25)
+    assert all(tuple(rng.randrange(3) for _ in range(2 * G.na)) in full for _ in range(200))
+    assert all(r.passed for r in verify_lcs_formula(G, 6))
+    assert calls == []
+    assert (full.name, full.order, len(full.gens)) == ("R", G.order, 3)
+    small = QuotientGroup(3, 4)
+    assert small.full_group().element_set() == set(small.iter_elements())
+
+
 @pytest.mark.parametrize(
     "run, products",
     [
-        (lambda: width_report(QuotientGroup(5, 30), 6), 60120),
-        (lambda: verify_lcs_formula(QuotientGroup(7, 20), 6), 21739),
-        (lambda: hm_generation_check(5, 6, 2), 2050),
+        (lambda: width_report(QuotientGroup(5, 30), 6), 57669),
+        (lambda: verify_lcs_formula(QuotientGroup(7, 20), 6), 19794),
+        (lambda: hm_generation_check(5, 6, 2), 2042),
         # exponents 1 and 2 are both stored squares: nothing to keep at p = 3
-        (lambda: verify_lcs_formula(QuotientGroup(3, 30), 6), 48218),
+        (lambda: verify_lcs_formula(QuotientGroup(3, 30), 6), 44466),
         # past _SIFT_MEMO_MAX_P a sift step multiplies by the stored squares
-        (lambda: verify_lcs_formula(QuotientGroup(101, 12), 4), 7954),
+        (lambda: verify_lcs_formula(QuotientGroup(101, 12), 4), 7015),
     ],
     ids=["width-5-30", "lcs-7-20", "hm-5-6-2", "lcs-3-30", "lcs-101-12"],
 )
@@ -420,6 +444,23 @@ def test_width_report_pins():
         (3, 3, 1, True, False),
         (4, 1, 0, True, False),
     ]
+
+
+def test_width_report_at_p2_matches_the_bfs_chain():
+    # at p = 2 a row is flagged once the next gamma is trivial; each gamma
+    # below is the BFS closure of all commutators [x, y], x in G, y in the last
+    G = QuotientGroup(2, 4)
+    elems = set(G.iter_elements())
+    chain = [elems]
+    while len(chain[-1]) > 1:
+        chain.append(closure_by_bfs(G, sorted({G.comm(x, y) for x in elems for y in chain[-1]})))
+    orders = [len(c) for c in chain]
+    assert orders == [64, 8, 1]
+    got = [(e.i, e.gamma_order, e.width, e.boundary_flag) for e in width_report(G, 3)]
+    assert got == [
+        (i, orders[i - 1], (orders[i - 1] // orders[i]).bit_length() - 1, orders[i] == 1)
+        for i in (1, 2)
+    ] + [(3, 1, 0, True)]
 
 
 def test_generation_check():

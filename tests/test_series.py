@@ -8,6 +8,7 @@ import pytest
 
 from riordan import (
     ZZ,
+    CapExceededError,
     CoeffRing,
     NottSeries,
     TruncSeries,
@@ -36,6 +37,7 @@ from riordan.series import (
     _spack,
     _sunpack,
     _unpack,
+    require_power_within_cap,
 )
 from util import (
     horner_compose,
@@ -764,3 +766,30 @@ def test_parse_rejects_malformed_literals():
     for line in bad:
         with pytest.raises(ValueError):
             parse_series(line)
+
+
+
+def refusal(p, k):
+    with pytest.raises(CapExceededError) as info:
+        require_power_within_cap(p, k, "{} items")
+    return str(info.value)
+
+
+def test_power_counts_meet_the_cap_at_its_boundary(monkeypatch):
+    monkeypatch.delenv("RIORDAN_MAX_ELEMS", raising=False)
+    assert require_power_within_cap(2, 20, "{} items") == 1 << 20  # the cap itself
+    # 2^21 is refused from the exponent alone; 3^13 is computed, then refused
+    assert refusal(2, 21) == "2097152 items; the cap is 1048576"
+    assert refusal(3, 13) == "1594323 items; the cap is 1048576"
+    # 3^9000 has 4295 digits, within the int-to-str limit; 3^9100 has 4342
+    assert refusal(3, 9000) == f"{3**9000} items; the cap is 1048576"
+    assert refusal(3, 9100) == "3^9100 items; the cap is 1048576"
+    monkeypatch.setenv("RIORDAN_MAX_ELEMS", "243")
+    assert require_power_within_cap(3, 5, "{} items") == 243
+    assert refusal(3, 6) == "729 items; the cap is 243"
+
+
+def test_power_counts_past_the_int_to_str_limit_are_never_computed(monkeypatch):
+    # 3^(10^12) would take hours to build; the refusal reads the exponent
+    monkeypatch.delenv("RIORDAN_MAX_ELEMS", raising=False)
+    assert refusal(3, 10**12) == "3^1000000000000 items; the cap is 1048576"
