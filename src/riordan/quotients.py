@@ -27,16 +27,13 @@ quotient is the band H^1 semidirect N^1, carrying the three coordinate
 generators its closure keeps (four at p = 2 from level 7 on), and a
 computed subgroup equals a band when the orders agree and its generators
 pass the band's test.  Every product in the engine takes its left factor
-from a small fixed set (the basis, the stored squares of its inverses, the
-inverse powers its sifts built up to p = _SIFT_MEMO_MAX_P, and the
-conjugators), so the power cache hits.
+from a small fixed set (the basis, the stored squares of its inverses and
+the conjugators), so the power cache hits.
 
 Everything returned is immutable; closure work touches no shared mutable
 state beyond a per-group cache of packed substitution powers, bounded by
 _POW_CACHE_LIMIT tables (concurrent inserts can pass it by one table per
-thread), and a closure handle's own kept sift powers (at most p - 1 per
-slot), whose entries are never modified, so concurrent use on distinct
-handles is safe.
+thread), so concurrent use on distinct handles is safe.
 """
 
 from __future__ import annotations
@@ -61,15 +58,10 @@ from .series import (
 )
 
 # Packed power tables kept per quotient group; the cache is cleared when it
-# is full.  The pc engine's left factors fill about 500 in verify_lcs_formula
-# at (3,45), depth 6; random left factors fill it and clear it.
+# is full.  The pc engine's left factors fill 492 in verify_lcs_formula at
+# (3,45), depth 6, and 495 in width_report at (5,30), depth 6; random left
+# factors fill it and clear it.
 _POW_CACHE_LIMIT = 1024
-
-# The largest p at which each pc slot keeps every u^-e its sifts build.  A
-# kept power is a new left factor, so it costs one packed power table (the
-# time of about a dozen products at level 16); p = 5 and 7 gained, p = 17
-# and above lost, and p = 11 and 13 were not measured.
-_SIFT_MEMO_MAX_P = 7
 
 # Sampled tower checks read each part of a draw from a table of its p^na
 # tuples only when that table holds at most this many entries.
@@ -126,23 +118,20 @@ class _PcSequence:
     [G_i, G_j] lies in G_{i+j}.  Slot 2(k-1) is pivot a_k and slot 2k-1 is
     pivot b_{k+1}; an element leads at its first nonzero slot, and the
     identity leads past the last one.  The sequence keeps at most one basis
-    element per slot, led by that slot with coefficient 1, and the powers
-    u^-(2^k) of its inverse up to the top bit of p, from which _power builds
-    any power by square-and-multiply.  Sifting left-multiplies by u^-e to
-    clear the leading coordinate e until the element is the identity or
-    leads at an empty slot; each layer is central modulo the next, so
-    u^-e x clears the same pivot as x u^-e.  Up to p = _SIFT_MEMO_MAX_P each
-    u^-e a sift builds is kept for its slot (at most p - 1 of them), so a
-    repeated exponent costs one product; past it a step takes popcount(e)
-    products from the stored squares.  Closure puts each new
+    element u per slot, led by that slot and kept as it was added, with the
+    inverse of its pivot coordinate c and the powers u^-(2^k) of its inverse
+    up to the top bit of p.  Sifting clears a leading coordinate a by u^-e
+    with e = a c^-1 mod p, built from the stored squares by
+    square-and-multiply in popcount(e) products, until the element is the
+    identity or leads at an empty slot; each layer is central modulo the
+    next, so u^-e x clears the same pivot as x u^-e.  Closure puts each new
     basis element's p-th power and its commutators with the earlier basis
     elements (and its conjugates by `conjugators`) on the queue.  The
-    normal-form words in the basis are then the subgroup, of order
-    p^(number of basis elements); see Holt, Eick and O'Brien, Handbook of
+    normal-form words in the basis are then the subgroup, of order p^(number
+    of basis elements); see Holt, Eick and O'Brien, Handbook of
     Computational Group Theory (2005), ch. 8.  Every product takes its left
-    factor from the basis, the stored powers, the squares of the element
-    being scaled and the conjugators, so the group's power cache, keyed by
-    the left factor, hits.
+    factor from the basis, the stored squares and the conjugators, so the
+    group's power cache, keyed by the left factor, hits.
 
     Certificate: every sift step must clear its pivot and leave no earlier
     slot nonzero, every u^p must lie in a deeper layer than u, and every
@@ -151,7 +140,7 @@ class _PcSequence:
     first also bounds every sift by the number of slots.
     """
 
-    __slots__ = ("group", "_conjugators", "_basis", "_inv_sq", "_inv_pow", "_size")
+    __slots__ = ("group", "_conjugators", "_basis", "_inv_sq", "_inv_pivot", "_size")
 
     def __init__(self, group, conjugators=()):
         self.group = group
@@ -159,9 +148,8 @@ class _PcSequence:
         self._basis = [None] * (2 * group.na)
         # per filled slot: (u^-1, u^-2, u^-4, ...) up to the top bit of p
         self._inv_sq = [None] * (2 * group.na)
-        # per filled slot, up to p = _SIFT_MEMO_MAX_P: {e: u^-e} for each
-        # exponent a sift has met
-        self._inv_pow = [None] * (2 * group.na)
+        # per filled slot: the inverse mod p of u's pivot coordinate
+        self._inv_pivot = [None] * (2 * group.na)
         self._size = 0
 
     @property
@@ -199,22 +187,16 @@ class _PcSequence:
 
     def sift(self, x):
         """Inverse basis powers times x: the identity exactly when x is a member."""
-        coord, inv_sq, inv_pow = self.group.pc_coords, self._inv_sq, self._inv_pow
+        p, coord = self.group.p, self.group.pc_coords
+        inv_sq, inv_pivot = self._inv_sq, self._inv_pivot
         s = self._lead(x)
         while s < len(coord) and inv_sq[s] is not None:
-            e, memo = x[coord[s]], inv_pow[s]
-            if memo is None:
-                y = self._power(inv_sq[s], e, x)
-            else:
-                z = memo.get(e)
-                if z is None:
-                    z = memo[e] = self._power(inv_sq[s], e)
-                y = self.group.mul(z, x)
+            y = self._power(inv_sq[s], x[coord[s]] * inv_pivot[s] % p, x)
             t = self._lead(y)
             if t <= s:
                 raise RuntimeError(
                     f"pc certificate failed: sifting {x} at slot {s} did not clear its "
-                    f"pivot at p={self.group.p}, level={self.group.level}"
+                    f"pivot at p={p}, level={self.group.level}"
                 )
             x, s = y, t
         return x
@@ -234,21 +216,14 @@ class _PcSequence:
         """Close the sequence under x; returns whether x was not yet a member."""
         G = self.group
         p, mul, coord = G.p, G.mul, G.pc_coords
-        basis, inv_sq = self._basis, self._inv_sq
+        basis, inv_sq, inv_pivot = self._basis, self._inv_sq, self._inv_pivot
         size = self._size
         queue = deque([x])
         while queue:
-            r = self.sift(queue.popleft())
-            s = self._lead(r)
+            u = self.sift(queue.popleft())
+            s = self._lead(u)
             if s == len(coord):
                 continue
-            e = pow(r[coord[s]], -1, p)  # scale the pivot to 1: u = r^e
-            u = self._power(self._squares(r, e), e)
-            if self._lead(u) != s or u[coord[s]] != 1:
-                raise RuntimeError(
-                    f"pc certificate failed: a power of {r} does not lead at slot {s} "
-                    f"at p={p}, level={G.level}"
-                )
             sq = self._squares(G.inv(u), p)
             power = self._power(sq, p)  # u^-p lies in the subgroup exactly when u^p does
             self._check_below(power, s, "the p-th power")
@@ -260,9 +235,7 @@ class _PcSequence:
                     queue.append(c)
             for t, ti in self._conjugators:
                 queue.append(mul(ti, mul(u, t)))
-            basis[s], inv_sq[s] = u, tuple(sq)
-            if p <= _SIFT_MEMO_MAX_P:
-                self._inv_pow[s] = {}
+            basis[s], inv_sq[s], inv_pivot[s] = u, tuple(sq), pow(u[coord[s]], -1, p)
             self._size += 1
         return self._size > size
 

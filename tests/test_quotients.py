@@ -198,19 +198,18 @@ def test_band_membership_and_equality_take_no_products(monkeypatch):
 @pytest.mark.parametrize(
     "run, products",
     [
-        (lambda: width_report(QuotientGroup(5, 30), 6), 57669),
-        (lambda: verify_lcs_formula(QuotientGroup(7, 20), 6), 19794),
-        (lambda: hm_generation_check(5, 6, 2), 2042),
-        # exponents 1 and 2 are both stored squares: nothing to keep at p = 3
-        (lambda: verify_lcs_formula(QuotientGroup(3, 30), 6), 44466),
-        # past _SIFT_MEMO_MAX_P a sift step multiplies by the stored squares
-        (lambda: verify_lcs_formula(QuotientGroup(101, 12), 4), 7015),
+        (lambda: width_report(QuotientGroup(5, 30), 6), 63304),
+        (lambda: verify_lcs_formula(QuotientGroup(7, 20), 6), 22036),
+        (lambda: hm_generation_check(5, 6, 2), 2538),
+        # exponents 1 and 2 are both stored squares: one product per sift step
+        (lambda: verify_lcs_formula(QuotientGroup(3, 30), 6), 44447),
+        (lambda: verify_lcs_formula(QuotientGroup(101, 12), 4), 6564),
     ],
     ids=["width-5-30", "lcs-7-20", "hm-5-6-2", "lcs-3-30", "lcs-101-12"],
 )
-def test_sift_reuses_the_powers_it_built(monkeypatch, run, products):
+def test_closure_product_counts(monkeypatch, run, products):
     # every product of the run, the 8 of each group's construction-time spot
-    # check included; a kept u^-e makes a repeated exponent cost one product
+    # check included; a sift step by u^-e costs popcount(e) products
     law, calls = QuotientGroup.mul, []
 
     def counting(self, x, y):
@@ -316,6 +315,44 @@ def test_coset_count_catches_a_corrupted_law(monkeypatch):
     monkeypatch.setattr(QuotientGroup, "mul", corrupted)
     with pytest.raises(RuntimeError, match="pc certificate failed: the commutator"):
         G.subgroup([a, b])
+
+
+@pytest.mark.parametrize("check", ["sift", "power"])
+def test_sift_and_power_checks_catch_a_corrupted_law(monkeypatch, check):
+    # sift: a^-1 a corrupted to a, so sifting a into <a> leaves its pivot;
+    # power: a^-2 a^-1 corrupted to a^-1, so u^-p stays in the first layer
+    G = QuotientGroup(3, 3)
+    a = (1, 0, 0, 0)
+    ai = G.inv(a)
+    pair, out, gens, what = {
+        "sift": ((ai, a), a, [a, a], "sifting .* did not clear its pivot"),
+        "power": ((G.mul(ai, ai), ai), ai, [a], "the p-th power .* below layer 1"),
+    }[check]
+    law = QuotientGroup.mul
+
+    def corrupted(self, x, y):
+        return out if (x, y) == pair else law(self, x, y)
+
+    monkeypatch.setattr(QuotientGroup, "mul", corrupted)
+    with pytest.raises(RuntimeError, match="pc certificate failed: " + what):
+        G.subgroup(gens)
+
+
+@pytest.mark.parametrize("p", [11, 13])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_closure_matches_the_coset_bfs_at_larger_primes(p, seed):
+    # seed k draws k generators, closing to orders p, p^3 and p^4; sift
+    # exponents up to p - 1 take up to three products from the squares
+    G = QuotientGroup(p, 3)
+    rng = random.Random(100 * p + seed)
+    gens = [tuple(rng.randrange(p) for _ in range(2 * G.na)) for _ in range(seed)]
+    handle = G.subgroup(gens)
+    expected = closure_by_bfs(G, gens)
+    assert handle.order == len(expected)
+    assert handle.element_set() == expected
+    for _ in range(200):
+        x = tuple(rng.randrange(p) for _ in range(2 * G.na))
+        assert (x in handle) == (x in expected)
 
 
 def test_closure_respects_element_cap(monkeypatch):
